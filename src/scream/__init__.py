@@ -13,8 +13,8 @@ The package provides:
 * ``bench`` / ``cli``: the reproducible benchmark harness.
 """
 
-from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, path_length,
-                  regret_metrics, square_loss)
+from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLoss,
+                  SquareLossStream, path_length, regret_metrics, square_loss, window_losses)
 from .omd import OmdState, Regularizer, hedge_step, ogd_step, omd_step
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
                        build_step_size_pool, nonuniform_prior, run_ader, run_ogd_memory,

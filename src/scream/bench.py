@@ -25,7 +25,7 @@ from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lipschitz_c
                   state_action_bound, tracking_grad_coeff)
 from .lds import preset
 from .learners import ScreamConfig, run_ader, run_ogd_memory, run_scream, trajectory_rows
-from .oco import ContractViolation, DomainBall, MemoryLoss, square_loss
+from .oco import ContractViolation, DomainBall, SquareLossStream
 from .sysid import IdentificationConfig, identify_system
 
 RESULT_COLUMNS = ("scenario", "algorithm", "seed", "alpha", "overall_loss", "cumulative_loss",
@@ -103,8 +103,9 @@ class RegressionStream:
     def comparators(self) -> np.ndarray:
         return self.truths
 
-    def losses(self) -> list[MemoryLoss]:
-        return [square_loss(self.X[t], float(self.y[t])) for t in range(self.X.shape[0])]
+    def losses(self) -> SquareLossStream:
+        """A fresh array-backed oracle stream (its gradient counters start at zero)."""
+        return SquareLossStream(self.X, self.y)
 
 
 def gen_piecewise_regression(config: ExperimentConfig, seed: int) -> RegressionStream:
@@ -250,10 +251,15 @@ def run_benchmark(config: ExperimentConfig, parallel: bool = True) -> BenchmarkR
     rows.sort(key=lambda r: (r.scenario, r.algorithm, r.alpha, r.seed))
     emit_csv([r.as_dict() for r in rows], RESULT_COLUMNS, outdir / "results.csv")
     emit_csv(summarize(rows), SUMMARY_COLUMNS, outdir / "summary.csv")
+    write_failures(failures, outdir)
+    return BenchmarkResult(rows, failures, outdir)
+
+
+def write_failures(failures, outdir: Path) -> None:
+    """Record failed cells in ``failures.txt``, one ``key: exception`` line each; none, no file."""
     if failures:
         lines = [f"{key}: {msg}" for key, msg in failures]
         (outdir / "failures.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return BenchmarkResult(rows, failures, outdir)
 
 
 def summarize(rows) -> list[dict]:
@@ -400,6 +406,7 @@ def run_control_benchmark(scenario: ControlScenario) -> BenchmarkResult:
     rows.sort(key=lambda r: (r.scenario, r.algorithm, r.alpha, r.seed))
     emit_csv([r.as_dict() for r in rows], RESULT_COLUMNS, outdir / "control_results.csv")
     emit_csv(summarize(rows), SUMMARY_COLUMNS, outdir / "control_summary.csv")
+    write_failures(failures, outdir)
     if metadata is not None:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "control_metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True),
@@ -419,6 +426,15 @@ class SysidScenario:
     k: int = 2
     seeds: tuple[int, ...] = tuple(range(20))
     outdir: str = "bench-out"
+
+    def __post_init__(self):
+        if not self.budgets:
+            raise ContractViolation("need at least one exploration budget")
+        for budget in self.budgets:
+            try:
+                IdentificationConfig(budget, self.k)
+            except ContractViolation as exc:
+                raise ContractViolation(f"budget {budget} with k = {self.k}: {exc}") from None
 
 
 def run_sysid_benchmark(scenario: SysidScenario) -> dict:

@@ -7,8 +7,10 @@ Subcommands:
   verify        randomized structural check suite
 
 Configuration files are flat ``key = value`` text; command-line flags override
-file values.  Exit code 0 on full success, 2 when some cells failed, 1 when a
-verification check failed.
+file values.  Exit code 0 on full success; 2 when some cells failed, or when
+the configuration is invalid (an unknown key, a value of the wrong type, a
+value outside its contract), which prints one ``scream: error: ...`` line on
+stderr and runs nothing; 1 when a verification check failed.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def apply_updates(config, updates: dict):
     for key, value in updates.items():
         if key not in known:
             raise ValueError(f"unknown configuration key {key!r}; valid keys: {sorted(known)}")
-        coerced[key] = _coerce(value, known[key]) if isinstance(value, str) else value
+        try:
+            coerced[key] = _coerce(value, known[key]) if isinstance(value, str) else value
+        except ValueError as exc:
+            raise ValueError(f"configuration key {key!r}: cannot read {value!r} ({exc})") from None
     return replace(config, **coerced)
 
 
@@ -101,18 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
-    if args.command == "verify":
-        return 0 if run_verification(seed=args.seed) else 1
-
+def _config(args):
+    """The command's configuration: defaults, then the config file, then the flags."""
     updates = parse_config_file(args.config) if args.config else {}
     if args.seeds:
         updates["seeds"] = tuple(args.seeds)
     if args.out:
         updates["outdir"] = args.out
-
     if args.command == "oco-bench":
         if args.algorithms:
             updates["algorithms"] = args.algorithms
@@ -122,9 +122,8 @@ def main(argv=None) -> int:
             updates["T"] = args.T
         if args.per_round:
             updates["per_round"] = True
-        config = apply_updates(ExperimentConfig(), updates)
-        result = run_benchmark(config, parallel=not args.serial)
-    elif args.command == "control-bench":
+        return apply_updates(ExperimentConfig(), updates)
+    if args.command == "control-bench":
         if args.T:
             updates["T"] = args.T
         if args.H:
@@ -133,15 +132,32 @@ def main(argv=None) -> int:
             updates["lam_multiplier"] = args.lam_multiplier
         if args.per_round:
             updates["per_round"] = True
-        result = run_control_benchmark(apply_updates(ControlScenario(), updates))
-    elif args.command == "sysid-bench":
-        if args.budgets:
-            updates["budgets"] = args.budgets
-        report = run_sysid_benchmark(apply_updates(SysidScenario(), updates))
+        return apply_updates(ControlScenario(), updates)
+    if args.budgets:
+        updates["budgets"] = args.budgets
+    return apply_updates(SysidScenario(), updates)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    if args.command == "verify":
+        return 0 if run_verification(seed=args.seed) else 1
+
+    try:
+        config = _config(args)
+    except (OSError, ValueError) as exc:  # ContractViolation is a ValueError
+        print(f"scream: error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.command == "oco-bench":
+        result = run_benchmark(config, parallel=not args.serial)
+    elif args.command == "control-bench":
+        result = run_control_benchmark(config)
+    else:
+        report = run_sysid_benchmark(config)
         print(f"identification log-log slope: {report['loglog_slope']:.3f}")
         return 0
-    else:  # pragma: no cover - argparse enforces the choices
-        return 2
 
     for key, message in result.failures:
         print(f"cell failed {key}: {message}", file=sys.stderr)

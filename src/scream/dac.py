@@ -313,11 +313,13 @@ def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     lags = np.asarray(lags, dtype=float)
     H = M.shape[0]
-    value, y, v = unary_truncated_eval(cost, loop, M, lags)
     if not (hasattr(cost, "grad_x") and hasattr(cost, "grad_u")):
         warnings.warn("cost oracle exposes no gradients; using finite differences",
                       RuntimeWarning, stacklevel=2)
         return _finite_difference_m_gradient(cost, loop, M, lags)
+    # the point (y, v) of the unary truncated loss; its value is not needed
+    y = truncated_state(loop, np.broadcast_to(M, (H + 1,) + M.shape), lags)
+    v = truncated_action(loop, y, M, lags)
     g_y = np.asarray(cost.grad_x(y, v), dtype=float)
     g_v = np.asarray(cost.grad_u(y, v), dtype=float)
     q = g_y - loop.K.T @ g_v

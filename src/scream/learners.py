@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport,
-                  _window_at, regret_metrics)
+from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLossStream,
+                  regret_metrics, window_losses)
 from .omd import OmdState, hedge_step
 
 
@@ -234,7 +234,7 @@ class OcoRun:
     """Recorded trajectory of one online run."""
 
     decisions: np.ndarray            # (T, d)
-    losses: list                     # per-round oracles, as revealed
+    losses: Sequence                 # per-round oracles, as revealed
     incurred: np.ndarray             # f_t on the learner's own windows
     learner: object
 
@@ -247,17 +247,21 @@ class OcoRun:
 
 
 def run_online(learner, losses: Iterable[MemoryLoss]) -> OcoRun:
-    """Drive the online protocol: decide, then reveal the round's loss oracle."""
+    """Drive the online protocol: decide, then reveal the round's loss oracle.
+
+    A :class:`SquareLossStream` is kept as the run's ``losses``, so the
+    evaluation reads its arrays; other oracles are kept in a list as revealed.
+    """
     decisions = []
     revealed = []
     for loss in losses:
         decisions.append(np.asarray(learner.decide(), dtype=float))
         revealed.append(loss)
         learner.observe(loss)
+    if isinstance(losses, SquareLossStream):
+        revealed = losses
     arr = np.asarray(decisions)
-    incurred = np.array([loss.window(_window_at(arr, t, loss.m))
-                         for t, loss in enumerate(revealed)])
-    return OcoRun(arr, revealed, incurred, learner)
+    return OcoRun(arr, revealed, window_losses(arr, revealed), learner)
 
 
 def run_scream(config: ScreamConfig, losses, domain: DomainBall,

@@ -184,6 +184,16 @@ class TestControlBenchmark:
         assert metadata["lam_theoretical"] >= metadata["lam"]
         assert metadata["H"] == 2
 
+    def test_failed_seeds_recorded_in_failures_txt(self, tmp_path):
+        from scream.bench import run_control_benchmark
+        scenario = ControlScenario(preset="no-such-preset", T=60, H=2, segment_length=20,
+                                   seeds=(0, 1), outdir=str(tmp_path / "ctrl"))
+        result = run_control_benchmark(scenario)
+        assert not result.ok and result.rows == []
+        lines = (tmp_path / "ctrl" / "failures.txt").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and all("no-such-preset" in line for line in lines)
+        assert lines[0].startswith("('tracking-3x2', 0): ContractViolation")
+
     def test_scenario_generation_reproducible(self, tmp_path):
         scenario = ControlScenario(T=80, H=2, segment_length=20, seeds=(0,))
         _, _, _, costs_a, w_a = gen_control_scenario(scenario, 0)
@@ -202,6 +212,11 @@ class TestSysidBenchmark:
         assert len(report["trials"]) == 6
         trial = report["trials"][0]
         assert {"T0", "k", "err_A", "err_B", "moment_errors"} <= set(trial)
+
+    @pytest.mark.parametrize("budgets, k", [((2,), 2), ((200, 1), 1), ((200,), 0), ((), 2)])
+    def test_budgets_checked_against_identification_contract(self, budgets, k):
+        with pytest.raises(ContractViolation):
+            SysidScenario(budgets=budgets, k=k)
 
 
 def test_unknown_algorithm_rejected(tmp_path):

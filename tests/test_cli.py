@@ -91,6 +91,32 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     assert report["budgets"] == [200, 800]
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["oco-bench"], "horizon = 10\n", "unknown configuration key 'horizon'"),
+    (["control-bench"], "T = abc\n", "configuration key 'T': cannot read 'abc'"),
+    (["oco-bench"], "alphas = 0.5, half\n", "configuration key 'alphas'"),
+    (["oco-bench"], "algorithms = sgd\n", "unknown algorithm 'sgd'"),
+    (["sysid-bench", "--budgets", "2"], "", "budget 2 with k = 2: need T0 > k >= 1"),
+])
+def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
+                                                           message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scream: error: ") and message in lines[0]
+    assert not out.exists()
+
+
+def test_missing_config_file_is_an_error_line(tmp_path, capsys):
+    assert main(["control-bench", "--config", str(tmp_path / "absent.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("scream: error: ")
+
+
 def test_verify_subcommand_exit_code():
     assert main(["verify", "--seed", "1"]) == 0
 

@@ -191,6 +191,32 @@ class TestControlRegret:
         expected = float(np.sum(run.cost_values)) - total
         assert report.dynamic_policy_regret == pytest.approx(expected, abs=1e-10)
 
+    def test_static_regret_replays_only_when_read(self, rng, monkeypatch):
+        from scream import control
+
+        loop, feasible, config, costs, w = small_setup(T=30, H=2)
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        comp = np.asarray([feasible.random_point(rng, scale=0.4) for _ in range(3)])
+        comp = comp[np.arange(30) // 10]  # three distinct comparators
+        replays = []
+        replay = control.replay_dac_policies
+
+        def counted(*args, **kwargs):
+            replays.append(1)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(control, "replay_dac_policies", counted)
+        report = dynamic_policy_regret_control(run, loop.system, comp, feasible)
+        assert len(replays) == 1
+        static = report.static_policy_regret
+        assert len(replays) == 1 + 3
+        assert report.static_policy_regret == static and len(replays) == 1 + 3
+
+        # the eager formula: cumulative loss minus the best fixed distinct comparator's
+        best = min(float(np.sum(simulate_dac(loop.system, loop.K, cand, w, costs=costs).costs))
+                   for cand in comp[[0, 10, 20]])
+        assert static == float(np.sum(run.cost_values)) - best
+
     def test_infeasible_comparator_rejected(self, rng):
         loop, feasible, config, costs, w = small_setup(T=30)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)

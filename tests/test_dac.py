@@ -242,6 +242,14 @@ class TestUnaryGradient:
                 fd = (up - down) / (2 * h)
                 assert abs(fd - grad[idx]) <= 1e-5 * max(abs(fd), abs(grad[idx]), 1e-6)
 
+    def test_analytic_gradient_reads_no_cost_value(self, rng):
+        loop = make_loop(seed=18)
+        cost = QuadraticTrackingCost(rng.standard_normal(3))
+        M = rng.standard_normal((2, 2, 3)) * 0.1
+        lags = rng.uniform(-0.3, 0.3, (5, 3))
+        unary_truncated_gradient(cost, loop, M, lags)
+        assert (cost.value_calls, cost.grad_calls) == (0, 1)
+
     def test_gradientless_cost_falls_back_with_warning(self, rng):
         loop = make_loop(seed=17)
 

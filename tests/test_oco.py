@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scream.oco import (ContractViolation, DomainBall, MemoryLoss, path_length,
-                        regret_metrics, square_loss)
+from scream.oco import (ContractViolation, DomainBall, MemoryLoss, SquareLoss, SquareLossStream,
+                        _window_at, path_length, regret_metrics, square_loss, window_losses)
 
 from conftest import finite_diff
 
@@ -104,7 +104,84 @@ class TestMemoryLoss:
         assert loss.grad_calls == 2
 
 
+def closure_square_loss(x, y, m=0):
+    """Reference square-loss oracle on the generic closure API (the form square_loss once had)."""
+    def one(w):
+        return 0.5 * (float(np.dot(w, x)) - y) ** 2
+
+    def window_fn(ws):
+        return one(ws[0]) if len(ws) == 1 else sum(one(w) for w in ws) / len(ws)
+
+    return MemoryLoss(m, window_fn, grad_fn=lambda w: (float(np.dot(w, x)) - y) * x)
+
+
+class TestSquareLossStream:
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_oracles_equal_square_loss_oracles(self, rng, m):
+        T, d = 8, 3
+        X = rng.standard_normal((T, d))
+        y = rng.standard_normal(T)
+        stream = SquareLossStream(X, y, m=m)
+        assert len(stream) == T
+        for t in range(T):
+            oracle, single = stream[t], square_loss(X[t], float(y[t]), m=m)
+            reference = closure_square_loss(X[t], float(y[t]), m=m)
+            assert oracle.m == single.m == m
+            for _ in range(5):
+                window = list(rng.standard_normal((m + 1, d)))
+                w = window[-1]
+                assert oracle.window(window) == single.window(window) == reference.window(window)
+                assert oracle.unary(w) == single.unary(w) == reference.unary(w)
+                g = oracle.grad(w)
+                assert np.array_equal(g, single.grad(w)) and np.array_equal(g, reference.grad(w))
+            assert oracle.grad_calls == single.grad_calls == reference.grad_calls == 5
+            assert oracle.grad_bound == single.grad_bound == pytest.approx(np.linalg.norm(X[t]))
+        assert stream[3] is stream[3]
+        assert [loss.grad_calls for loss in stream] == [5] * T
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_vectorized_window_losses_match_oracle_loop(self, rng, m):
+        T, d = 50, 4
+        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T), m=m)
+        w = rng.standard_normal((T, d))
+        loop = np.array([stream[t].window(_window_at(w, t, m)) for t in range(T)])
+        assert np.allclose(stream.window_losses(w), loop, rtol=1e-12, atol=0)
+        assert np.allclose(window_losses(w, stream), window_losses(w, list(stream)),
+                           rtol=1e-12, atol=0)
+
+    def test_rejects_mismatched_arrays(self, rng):
+        with pytest.raises(ContractViolation):
+            SquareLossStream(rng.standard_normal((5, 2)), rng.standard_normal(4))
+        with pytest.raises(ContractViolation):
+            SquareLossStream(rng.standard_normal(5), rng.standard_normal(5))
+        stream = SquareLossStream(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        with pytest.raises(ContractViolation):
+            stream.window_losses(np.zeros((4, 2)))
+
+
 class TestRegretMetrics:
+    def test_static_regret_computed_only_when_read(self, rng, monkeypatch):
+        T, d = 40, 3
+        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
+        w = rng.standard_normal((T, d)) * 0.3
+        v = rng.standard_normal((T, d)) * 0.3   # drifting: every comparator row is distinct
+        calls = []
+        unary = SquareLoss.unary
+        monkeypatch.setattr(SquareLoss, "unary", lambda self, u: calls.append(1) or unary(self, u))
+
+        report = regret_metrics(w, v, stream, lam=0.5)
+        assert calls == []
+        static = report.static_policy_regret
+        assert len(calls) == T * T
+        assert report.static_policy_regret == static and len(calls) == T * T
+
+        # the eager formula: cumulative loss minus the best fixed distinct comparator's
+        cumulative = sum(stream[t].window([w[t]]) for t in range(T))
+        best = min(sum(loss.unary(cand) for loss in stream) for cand in np.unique(v, axis=0))
+        assert static == pytest.approx(cumulative - best, rel=1e-12)
+        listed = regret_metrics(w, v, list(stream), lam=0.5)
+        assert listed.static_policy_regret == pytest.approx(static, rel=1e-12)
+
     def test_identical_sequences_zero(self):
         losses = [square_loss(np.array([1.0]), 0.5) for _ in range(5)]
         w = np.full((5, 1), 0.2)
