@@ -8,17 +8,21 @@ regenerated:
   oco_t300_seg1  the same at ``T = 300`` with ``segment_length = 1``, so every
                  comparator row is distinct;
   control_t400   ``scream control-bench`` (tracking-3x2) with ``T = 400``,
-                 seeds 0 and 1.
+                 seeds 0 and 1;
+  sysid_small    ``scream sysid-bench --budgets 250,1000`` with seeds 0, 1, 2.
 
 Every field is compared at the 9 significant digits the CSVs print, except
-``wall_time_ms``, the one measured column.
+``wall_time_ms``, the one measured column.  The JSON report is compared the
+same way: every number at 9 significant digits, everything else exactly.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from scream.bench import ControlScenario, ExperimentConfig, run_benchmark, run_control_benchmark
+from scream.bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
+                          run_control_benchmark, run_sysid_benchmark)
 from scream.csvio import parse_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,3 +60,22 @@ def test_control_benchmark_matches_golden(tmp_path):
     result = run_control_benchmark(scenario)
     assert result.ok, result.failures
     _assert_matches_golden(tmp_path, "control_t400", ("control_results.csv", "control_summary.csv"))
+
+
+def _nine_digits(value):
+    """The JSON value with every float printed at 9 significant digits."""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if isinstance(value, dict):
+        return {key: _nine_digits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_nine_digits(item) for item in value]
+    return value
+
+
+def test_sysid_benchmark_matches_golden(tmp_path):
+    scenario = SysidScenario(budgets=(250, 1000), seeds=(0, 1, 2), outdir=str(tmp_path))
+    run_sysid_benchmark(scenario)
+    expected = json.loads((GOLDEN / "sysid_small" / "sysid_report.json").read_text(encoding="utf-8"))
+    actual = json.loads((tmp_path / "sysid_report.json").read_text(encoding="utf-8"))
+    assert _nine_digits(actual) == _nine_digits(expected)
