@@ -20,8 +20,8 @@ from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
                        build_step_size_pool, nonuniform_prior, run_ader, run_ogd_memory,
                        run_online, run_scream, surrogate_losses)
 from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Trajectory,
-                  certify_strong_stability, preset, random_stable_system, recover_disturbance,
-                  simulate, step_dynamics)
+                  certify_strong_stability, closed_loop_rollout, preset, random_stable_system,
+                  recover_disturbance, simulate, step_dynamics)
 from .dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, LipschitzConstants,
                   QuadraticTrackingCost, dac_action, lipschitz_constants, simulate_dac,
                   state_via_transfer, transfer_matrix, truncated_loss,

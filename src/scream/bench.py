@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,10 +38,21 @@ ALGORITHMS = ("ogd", "ader", "scream")
 
 
 def worker_count() -> int:
+    """Pool size: ``SCREAM_WORKERS`` (an integer >= 1) if set, else 4; at most the cpu count.
+
+    A value that is not an integer >= 1 raises ``ValueError``.
+    """
+    cpus = os.cpu_count() or 1
     env = os.environ.get("SCREAM_WORKERS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, cpus)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SCREAM_WORKERS must be an integer >= 1, got {env!r}")
+    return min(workers, cpus)
 
 
 @dataclass(frozen=True)
@@ -229,9 +239,11 @@ def run_benchmark(config: ExperimentConfig, parallel: bool = True) -> BenchmarkR
              for algorithm in config.algorithms
              for alpha in config.alphas
              for seed in config.seeds]
-    results = []
-    if parallel and worker_count() > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=worker_count()) as pool:
+    workers = min(worker_count(), len(cells)) if parallel else 1
+    if workers > 1:
+        # imported here: multiprocessing adds about 15 ms to every start-up that builds no pool
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_task, cells))
     else:
         results = [_cell_task(c) for c in cells]
@@ -438,18 +450,26 @@ class SysidScenario:
 
 
 def run_sysid_benchmark(scenario: SysidScenario) -> dict:
-    """Monte-Carlo identification error across exploration budgets; writes a JSON report."""
+    """Monte-Carlo identification error across exploration budgets; writes a JSON report.
+
+    A trial that raises is recorded in ``failures.txt`` as ``(T0, seed): exception``
+    and left out of the trials; the sweep goes on.
+    """
     sys_preset = preset(scenario.preset, seed=0)
     plant = sys_preset.system
     a_k = plant.A - plant.B @ sys_preset.K
-    trials = []
+    trials, failures = [], []
     for budget in scenario.budgets:
         for seed in scenario.seeds:
-            gen = replace(sys_preset.disturbance, seed=seed + 31)
-            disturbances = gen.sequence(budget)
-            ident, moments = identify_system(plant, sys_preset.K,
-                                             IdentificationConfig(budget, scenario.k),
-                                             disturbances, seed=seed)
+            try:
+                gen = replace(sys_preset.disturbance, seed=seed + 31)
+                disturbances = gen.sequence(budget)
+                ident, moments = identify_system(plant, sys_preset.K,
+                                                 IdentificationConfig(budget, scenario.k),
+                                                 disturbances, seed=seed)
+            except Exception as exc:  # per-trial failures are recorded; the sweep continues
+                failures.append(((budget, seed), f"{type(exc).__name__}: {exc}"))
+                continue
             moment_errors = [float(np.linalg.norm(moments.N[j] - np.linalg.matrix_power(a_k, j) @ plant.B))
                              for j in range(scenario.k + 1)]
             trials.append({
@@ -463,14 +483,17 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
     medians = {}
     for budget in scenario.budgets:
         errs = [t["err_A"] for t in trials if t["T0"] == budget]
-        medians[str(budget)] = float(np.median(errs))
-    log_t = np.log(np.asarray(scenario.budgets, dtype=float))
-    log_e = np.log(np.asarray([medians[str(b)] for b in scenario.budgets]))
-    slope = float(np.polyfit(log_t, log_e, 1)[0])
+        if errs:  # a budget whose every trial failed has no median
+            medians[budget] = float(np.median(errs))
+    slope = float("nan")
+    if medians:
+        slope = float(np.polyfit(np.log(list(medians)), np.log(list(medians.values())), 1)[0])
     report = {"scenario": scenario.name, "k": scenario.k, "budgets": list(scenario.budgets),
-              "median_err_A": medians, "loglog_slope": slope, "trials": trials}
+              "median_err_A": {str(b): m for b, m in medians.items()}, "loglog_slope": slope,
+              "trials": trials}
     outdir = Path(scenario.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sysid_report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
                                               encoding="utf-8")
+    write_failures(failures, outdir)
     return report

@@ -7,10 +7,12 @@ Subcommands:
   verify        randomized structural check suite
 
 Configuration files are flat ``key = value`` text; command-line flags override
-file values.  Exit code 0 on full success; 2 when some cells failed, or when
+file values.  Exit code 0 on full success; 2 when some cells (or sysid-bench
+trials) failed, which ``failures.txt`` in the output directory records, or when
 the configuration is invalid (an unknown key, a value of the wrong type, a
-value outside its contract), which prints one ``scream: error: ...`` line on
-stderr and runs nothing; 1 when a verification check failed.
+value outside its contract, a ``SCREAM_WORKERS`` that is not an integer >= 1
+for oco-bench), which prints one ``scream: error: ...`` line on stderr and runs
+nothing; 1 when a verification check failed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from dataclasses import fields, replace
 
 from .bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
-                    run_control_benchmark, run_sysid_benchmark)
+                    run_control_benchmark, run_sysid_benchmark, worker_count)
 from .verify import run_verification
 
 
@@ -122,7 +124,9 @@ def _config(args):
             updates["T"] = args.T
         if args.per_round:
             updates["per_round"] = True
-        return apply_updates(ExperimentConfig(), updates)
+        config = apply_updates(ExperimentConfig(), updates)
+        worker_count()  # a bad SCREAM_WORKERS fails here, before any cell runs
+        return config
     if args.command == "control-bench":
         if args.T:
             updates["T"] = args.T
@@ -157,7 +161,10 @@ def main(argv=None) -> int:
     else:
         report = run_sysid_benchmark(config)
         print(f"identification log-log slope: {report['loglog_slope']:.3f}")
-        return 0
+        failed = len(config.budgets) * len(config.seeds) - len(report["trials"])
+        if failed:
+            print(f"{failed} trials failed; see {config.outdir}/failures.txt", file=sys.stderr)
+        return 2 if failed else 0
 
     for key, message in result.failures:
         print(f"cell failed {key}: {message}", file=sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lds import (LinearSystem, StabilityCertificate, Trajectory,
-                  certify_strong_stability, step_dynamics)
+                  certify_strong_stability, closed_loop_rollout)
 from .oco import ContractViolation
 
 
@@ -212,28 +212,27 @@ def simulate_dac(system: LinearSystem, K, M_seq, disturbances, x0=None, costs=No
     """Roll the closed loop forward under a (possibly time-varying) DAC policy.
 
     ``M_seq`` is either one parameter set used every round or a length-T
-    sequence; the action at each round uses the actual past disturbances.
+    sequence; the action at each round uses the actual past disturbances.  The
+    offsets sum_k M_t[k] w_(t-1-k) (zero before the start) come from one einsum
+    over a zero-padded lag array, and the rollout is one closed-loop scan.
     """
     w = np.asarray(disturbances, dtype=float)
-    T = w.shape[0]
     M_seq = np.asarray(M_seq, dtype=float)
-    if M_seq.ndim == 3:
-        M_seq = np.broadcast_to(M_seq, (T,) + M_seq.shape)
-    H = M_seq.shape[1]
-    window = DisturbanceWindow(system.d_x, H)
-    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float).copy()
-    states = np.empty((T + 1, system.d_x))
-    actions = np.empty((T, system.d_u))
+    T = w.shape[0] if w.ndim == 2 else -1
+    shapes_ok = (w.ndim == 2 and w.shape[1] == system.d_x and M_seq.ndim in (3, 4)
+                 and M_seq.shape[-2:] == (system.d_u, system.d_x)
+                 and (M_seq.ndim == 3 or M_seq.shape[0] == T))
+    if not shapes_ok:
+        raise ContractViolation(f"dimension mismatch in DAC rollout: M_seq {M_seq.shape}, "
+                                f"disturbances {w.shape}")
+    H = M_seq.shape[-3]
+    padded = np.concatenate([np.zeros((H, system.d_x)), w])
+    lags = padded[H - 1 + np.arange(T)[:, None] - np.arange(H)[None, :]]  # lags[t, k] = w[t-1-k]
+    spec = "kux,tkx->tu" if M_seq.ndim == 3 else "tkux,tkx->tu"
+    states, actions = closed_loop_rollout(system, K, np.einsum(spec, M_seq, lags), w, x0=x0)
     values = np.zeros(T)
-    states[0] = x
-    K = np.asarray(K, dtype=float)
-    for t in range(T):
-        u = dac_action(K, M_seq[t], states[t], window.lags(H))
-        actions[t] = u
-        if costs is not None:
-            values[t] = costs[t].value(states[t], u)
-        states[t + 1] = step_dynamics(system, states[t], u, w[t])
-        window.push(w[t])
+    if costs is not None:
+        values[:] = [costs[t].value(states[t], actions[t]) for t in range(T)]
     return Trajectory(states, actions, w, values)
 
 

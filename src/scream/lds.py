@@ -61,6 +61,38 @@ def step_dynamics(system: LinearSystem, x, u, w) -> np.ndarray:
     return system.A @ x + system.B @ u + w
 
 
+def closed_loop_rollout(system: LinearSystem, K, offsets, disturbances,
+                        x0=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every round of x' = A x + B u + w under u = -K x + offsets[t], at once.
+
+    The recursion is x_{t+1} = (A - B K) x_t + (B offsets_t + w_t), a linear
+    scan solved by doubling: after the pass with shift s, row t holds the sum
+    of P^j c_{t-j} over j < 2s, so ceil(log2(T + 1)) passes of
+    ``y[s:] += y[:-s] @ P.T`` (P squared after each) finish it.  The scan stops
+    early once P is exactly zero, since adding zero changes nothing.  Returns
+    (states (T + 1, d_x), actions (T, d_u)).
+    """
+    K = np.asarray(K, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    w = np.asarray(disturbances, dtype=float)
+    x0 = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float)
+    T = w.shape[0] if w.ndim == 2 else -1
+    if (K.shape != (system.d_u, system.d_x) or w.shape != (T, system.d_x)
+            or offsets.shape != (T, system.d_u) or x0.shape != (system.d_x,)):
+        raise ContractViolation("dimension mismatch in closed-loop rollout")
+    # transposes are copied: a product with a transposed view takes a much slower matmul path
+    states = np.empty((T + 1, system.d_x))
+    states[0] = x0
+    states[1:] = offsets @ np.ascontiguousarray(system.B.T) + w
+    power_t = np.ascontiguousarray((system.A - system.B @ K).T)  # P.T; (P^2).T = P.T P.T
+    shift = 1
+    while shift <= T and np.any(power_t):
+        states[shift:] += states[:-shift] @ power_t
+        power_t = power_t @ power_t
+        shift *= 2
+    return states, offsets - states[:-1] @ np.ascontiguousarray(K.T)
+
+
 def recover_disturbance(system: LinearSystem, x_next, x, u) -> np.ndarray:
     x_next = np.asarray(x_next, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .control import ControlConfig, ControlRun, run_scream_control
 from .dac import ClosedLoop, DacFeasibleSet
-from .lds import LinearSystem, Trajectory, certify_strong_stability, step_dynamics
+from .lds import LinearSystem, Trajectory, certify_strong_stability, closed_loop_rollout
 from .oco import ContractViolation
 
 
@@ -50,9 +50,8 @@ class MomentEstimates:
 class IdentifiedSystem:
     """Recovered dynamics; A_hat = A_K_hat + B_hat K holds by construction.
 
-    ``kappa_c_hat`` (conditioning of the estimated moment Gram), ``eps_w`` and
-    ``w0_bound`` (disturbance-recovery error scales, when a harness fills them)
-    are reporting metadata only; nothing is asserted against them.
+    ``kappa_c_hat`` (conditioning of the estimated moment Gram) is reporting
+    metadata only; nothing is asserted against it.
     """
 
     A_hat: np.ndarray
@@ -62,8 +61,6 @@ class IdentifiedSystem:
     config: IdentificationConfig
     exploration: Trajectory
     kappa_c_hat: float | None = None
-    eps_w: float | None = None
-    w0_bound: float | None = None
 
     def as_system(self, w_bound: float = 1.0) -> LinearSystem:
         return LinearSystem(self.A_hat, self.B_hat, w_bound=w_bound)
@@ -93,21 +90,14 @@ def smallest_controllability_index(system: LinearSystem, K, max_k: int = 10,
 
 def explore(plant: LinearSystem, K, T0: int, disturbances, rng, costs=None):
     """Drive the plant with u = -K x + z, z ~ {+-1}^(d_u); returns (trajectory, sign inputs)."""
-    K = np.asarray(K, dtype=float)
     w = np.asarray(disturbances, dtype=float)
     if w.shape[0] < T0:
         raise ContractViolation("not enough disturbances for the exploration budget")
     signs = rng.choice([-1.0, 1.0], size=(T0, plant.d_u))
-    states = np.empty((T0 + 1, plant.d_x))
-    actions = np.empty((T0, plant.d_u))
+    states, actions = closed_loop_rollout(plant, K, signs, w[:T0])
     values = np.zeros(T0)
-    states[0] = np.zeros(plant.d_x)
-    for t in range(T0):
-        u = -K @ states[t] + signs[t]
-        actions[t] = u
-        if costs is not None:
-            values[t] = costs[t].value(states[t], u)
-        states[t + 1] = step_dynamics(plant, states[t], u, w[t])
+    if costs is not None:
+        values[:] = [costs[t].value(states[t], actions[t]) for t in range(T0)]
     return Trajectory(states, actions, w[:T0], values), signs
 
 

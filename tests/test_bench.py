@@ -213,6 +213,50 @@ class TestSysidBenchmark:
         trial = report["trials"][0]
         assert {"T0", "k", "err_A", "err_B", "moment_errors"} <= set(trial)
 
+    def test_trial_failures_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
+        import scream.bench as bench_mod
+        original = bench_mod.identify_system
+
+        def flaky(plant, K, config, disturbances, seed=0, costs=None):
+            if seed == 1:
+                raise RuntimeError("synthetic trial failure")
+            return original(plant, K, config, disturbances, seed=seed, costs=costs)
+
+        monkeypatch.setattr(bench_mod, "identify_system", flaky)
+        scenario = SysidScenario(budgets=(200, 800), seeds=(0, 1, 2),
+                                 outdir=str(tmp_path / "sysid"))
+        report = run_sysid_benchmark(scenario)
+        assert [(t["T0"], t["seed"]) for t in report["trials"]] == [
+            (200, 0), (200, 2), (800, 0), (800, 2)]
+        assert set(report["median_err_A"]) == {"200", "800"}
+        assert np.isfinite(report["loglog_slope"])
+        lines = (tmp_path / "sysid" / "failures.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == ["(200, 1): RuntimeError: synthetic trial failure",
+                         "(800, 1): RuntimeError: synthetic trial failure"]
+
+    def test_budget_without_trials_left_out_of_the_fit(self, tmp_path, monkeypatch):
+        import scream.bench as bench_mod
+        original = bench_mod.identify_system
+
+        def flaky(plant, K, config, disturbances, seed=0, costs=None):
+            if config.T0 == 400:
+                raise RuntimeError("synthetic trial failure")
+            return original(plant, K, config, disturbances, seed=seed, costs=costs)
+
+        monkeypatch.setattr(bench_mod, "identify_system", flaky)
+        scenario = SysidScenario(budgets=(200, 400, 800), seeds=(0, 1),
+                                 outdir=str(tmp_path / "sysid"))
+        report = run_sysid_benchmark(scenario)
+        medians = report["median_err_A"]
+        assert set(medians) == {"200", "800"} and len(report["trials"]) == 4
+        expected = np.polyfit(np.log([200.0, 800.0]), np.log([medians["200"], medians["800"]]), 1)[0]
+        assert report["loglog_slope"] == pytest.approx(expected, rel=1e-12)
+
+    def test_no_failures_no_failures_txt(self, tmp_path):
+        scenario = SysidScenario(budgets=(200, 400), seeds=(0,), outdir=str(tmp_path / "sysid"))
+        run_sysid_benchmark(scenario)
+        assert not (tmp_path / "sysid" / "failures.txt").exists()
+
     @pytest.mark.parametrize("budgets, k", [((2,), 2), ((200, 1), 1), ((200,), 0), ((), 2)])
     def test_budgets_checked_against_identification_contract(self, budgets, k):
         with pytest.raises(ContractViolation):
@@ -256,3 +300,57 @@ def test_cli_exit_code_two_on_partial_failure(tmp_path, monkeypatch):
     code = main(["oco-bench", "--T", "120", "--seed", "0", "--alpha", "0.5",
                  "--out", str(tmp_path / "o"), "--serial"])
     assert code == 2
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("env, cpus, expected", [
+        (None, 2, 2), (None, 8, 4), (None, None, 1), ("", 8, 4),
+        ("3", 8, 3), ("3", 2, 2), ("64", 4, 4), (" 2 ", 8, 2), ("1", 1, 1),
+    ])
+    def test_value_and_caps(self, monkeypatch, env, cpus, expected):
+        import scream.bench as bench_mod
+        if env is None:
+            monkeypatch.delenv("SCREAM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SCREAM_WORKERS", env)
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: cpus)
+        assert bench_mod.worker_count() == expected
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "2.5", "4 workers"])
+    def test_bad_values_rejected(self, monkeypatch, env):
+        import scream.bench as bench_mod
+        monkeypatch.setenv("SCREAM_WORKERS", env)
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 8)
+        with pytest.raises(ValueError, match="SCREAM_WORKERS must be an integer >= 1"):
+            bench_mod.worker_count()
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps in this process: nothing is spawned
+        import concurrent.futures
+
+        import scream.bench as bench_mod
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 16)
+        monkeypatch.setenv("SCREAM_WORKERS", "8")
+        config = tiny_config(tmp_path, T=60, algorithms=("ogd",))  # 2 cells
+        result = bench_mod.run_benchmark(config, parallel=True)
+        assert result.ok and len(result.rows) == 2
+        assert sizes == [2]
+        bench_mod.run_benchmark(tiny_config(tmp_path, T=60, algorithms=("ogd",), seeds=(0,)),
+                                parallel=True)
+        assert sizes == [2]  # one cell runs without a pool

@@ -112,6 +112,49 @@ def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_bad_scream_workers_is_one_error_line_with_exit_two(tmp_path, capsys, monkeypatch,
+                                                           value):
+    import scream.bench as bench_mod
+
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench_mod, "run_cell", no_cells)
+    monkeypatch.setenv("SCREAM_WORKERS", value)
+    out = tmp_path / "out"
+    code = main(["oco-bench", "--T", "60", "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"scream: error: SCREAM_WORKERS must be an integer >= 1, got {value!r}"]
+    assert not out.exists()
+
+
+def test_sysid_bench_exit_two_on_failed_trial(tmp_path, capsys, monkeypatch):
+    import scream.bench as bench_mod
+    original = bench_mod.identify_system
+
+    def flaky(plant, K, config, disturbances, seed=0, costs=None):
+        if seed == 1 and config.T0 == 800:
+            raise RuntimeError("synthetic trial failure")
+        return original(plant, K, config, disturbances, seed=seed, costs=costs)
+
+    monkeypatch.setattr(bench_mod, "identify_system", flaky)
+    out = tmp_path / "sysid"
+    code = main(["sysid-bench", "--budgets", "200,800", "--seed", "0", "--seed", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "slope" in captured.out
+    assert captured.err == f"1 trials failed; see {out}/failures.txt\n"
+    assert (out / "failures.txt").read_text(encoding="utf-8") == (
+        "(800, 1): RuntimeError: synthetic trial failure\n")
+    report = json.loads((out / "sysid_report.json").read_text(encoding="utf-8"))
+    assert len(report["trials"]) == 3
+
+
 def test_missing_config_file_is_an_error_line(tmp_path, capsys):
     assert main(["control-bench", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert capsys.readouterr().err.startswith("scream: error: ")

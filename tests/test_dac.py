@@ -197,6 +197,65 @@ class TestTruncation:
             assert abs(traj.costs[t] - value) <= cap
 
 
+class TestSimulateDac:
+    @staticmethod
+    def stepped(system, K, M_seq, w, x0):
+        """Reference: one round at a time, lags read straight off the record."""
+        H = M_seq.shape[1]
+        x = np.asarray(x0, dtype=float)
+        states, actions = [x], []
+        for t in range(w.shape[0]):
+            u = -K @ x
+            for k in range(H):
+                if t - 1 - k >= 0:
+                    u = u + M_seq[t][k] @ w[t - 1 - k]
+            actions.append(u)
+            x = system.A @ x + system.B @ u + w[t]
+            states.append(x)
+        return np.asarray(states), np.asarray(actions)
+
+    @pytest.mark.parametrize("d_u, H, T", [(2, 3, 200), (1, 5, 64), (2, 1, 1)])
+    def test_matches_step_loop(self, rng, d_u, H, T):
+        system = random_stable_system(3, d_u, 0.9, seed=d_u + H)
+        K = 0.05 * rng.standard_normal((d_u, 3))
+        M_seq = 0.3 * rng.standard_normal((T, H, d_u, 3))
+        w = rng.uniform(-0.5, 0.5, (T, 3))
+        x0 = rng.standard_normal(3)
+        traj = simulate_dac(system, K, M_seq, w, x0=x0)
+        ref_states, ref_actions = self.stepped(system, K, M_seq, w, x0)
+        scale = np.max(np.abs(ref_states))
+        assert np.max(np.abs(traj.states - ref_states)) <= 1e-11 * scale
+        assert np.max(np.abs(traj.actions - ref_actions)) <= 1e-11 * scale
+        assert traj.max_residual(system) <= 1e-11 * scale
+
+    def test_fixed_parameters_equal_their_repetition(self, rng):
+        loop = make_loop(seed=3)
+        M = 0.3 * rng.standard_normal((4, 2, 3))
+        w = rng.uniform(-0.5, 0.5, (120, 3))
+        fixed = simulate_dac(loop.system, loop.K, M, w)
+        repeated = simulate_dac(loop.system, loop.K, np.broadcast_to(M, (120,) + M.shape), w)
+        assert np.allclose(fixed.states, repeated.states, rtol=1e-13, atol=1e-13)
+
+    def test_one_cost_value_per_round(self, rng):
+        loop = make_loop(seed=5)
+        T = 80
+        costs = [QuadraticTrackingCost(rng.uniform(-0.3, 0.3, 3)) for _ in range(T)]
+        M = 0.3 * rng.standard_normal((3, 2, 3))
+        traj = simulate_dac(loop.system, loop.K, M, rng.uniform(-0.5, 0.5, (T, 3)), costs=costs)
+        assert [c.value_calls for c in costs] == [1] * T
+        assert [c.grad_calls for c in costs] == [0] * T
+        expected = [QuadraticTrackingCost(c.target).value(x, u)
+                    for c, x, u in zip(costs, traj.states, traj.actions)]
+        assert traj.costs.tolist() == expected
+
+    @pytest.mark.parametrize("M_shape", [(9, 3, 2, 3), (10, 3, 1, 3), (10, 3, 2, 2),
+                                         (3, 2, 2), (2, 3), (10, 1, 3, 2, 3)])
+    def test_parameter_shapes_checked(self, M_shape):
+        loop = make_loop(seed=2)
+        with pytest.raises(ContractViolation):
+            simulate_dac(loop.system, loop.K, np.zeros(M_shape), np.zeros((10, 3)))
+
+
 class TestUnaryGradient:
     def test_zero_disturbances_zero_gradient(self, rng):
         loop = make_loop(seed=15)

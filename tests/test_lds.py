@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from scream.lds import (ContractViolation, DisturbanceGenerator, LinearSystem,
-                        certify_strong_stability, clip_to_ball, preset, preset_names,
-                        random_stable_system, recover_disturbance, simulate, step_dynamics)
+from scream.lds import (ContractViolation, DisturbanceGenerator, LinearSystem, Trajectory,
+                        certify_strong_stability, clip_to_ball, closed_loop_rollout, preset,
+                        preset_names, random_stable_system, recover_disturbance, simulate,
+                        step_dynamics)
 
 
 def scalar_system(a=0.5, b=1.0):
@@ -152,3 +153,72 @@ class TestSimulate:
             assert p.certificate.accepted, name
             assert p.system.d_x == 3
             assert p.system.d_u == (1 if name.endswith("3x1") else 2)
+
+
+def stepped_rollout(system, K, offsets, w, x0):
+    """Reference: the closed loop one round at a time, raw array algebra only."""
+    states = [np.asarray(x0, dtype=float)]
+    actions = []
+    for t in range(w.shape[0]):
+        u = -K @ states[-1] + offsets[t]
+        actions.append(u)
+        states.append(system.A @ states[-1] + system.B @ u + w[t])
+    return np.asarray(states), np.asarray(actions).reshape(len(actions), system.d_u)
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want), initial=0.0)) / max(
+        float(np.max(np.abs(want), initial=0.0)), 1e-300)
+
+
+class TestClosedLoopRollout:
+    @pytest.mark.parametrize("T", [0, 1, 64000])
+    @pytest.mark.parametrize("d_u, radius", [(2, 0.9), (1, 0.6), (2, 1.0)])
+    def test_matches_step_loop(self, T, d_u, radius):
+        # nonzero feedback; A is chosen so that A - B K has the given spectral radius
+        rng = np.random.default_rng(T + d_u)
+        closed = random_stable_system(3, d_u, radius, seed=4)
+        K = 0.3 * rng.standard_normal((d_u, 3))
+        system = LinearSystem(closed.A + closed.B @ K, closed.B)
+        offsets = rng.choice([-1.0, 1.0], size=(T, d_u))
+        w = rng.uniform(-0.1, 0.1, (T, 3))
+        x0 = rng.standard_normal(3)
+        states, actions = closed_loop_rollout(system, K, offsets, w, x0=x0)
+        ref_states, ref_actions = stepped_rollout(system, K, offsets, w, x0)
+        assert states.shape == (T + 1, 3) and actions.shape == (T, d_u)
+        assert _relative_gap(states, ref_states) <= 1e-11
+        assert _relative_gap(actions, ref_actions) <= 1e-11
+        traj = Trajectory(states, actions, w, np.zeros(T))
+        assert traj.max_residual(system) <= 1e-11 * (1.0 + np.max(np.abs(states)))
+
+    def test_defaults_to_the_origin(self, rng):
+        system = random_stable_system(3, 2, 0.8, seed=1)
+        offsets = rng.standard_normal((50, 2))
+        w = rng.standard_normal((50, 3))
+        states, _ = closed_loop_rollout(system, np.zeros((2, 3)), offsets, w)
+        ref, _ = stepped_rollout(system, np.zeros((2, 3)), offsets, w, np.zeros(3))
+        assert np.all(states[0] == 0.0)
+        assert _relative_gap(states, ref) <= 1e-11
+
+    def test_nilpotent_closed_loop_stops_early(self, rng):
+        # (A - B K)^2 = 0: the scan stops after its first pass and still matches the step loop
+        system = LinearSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+        offsets = rng.standard_normal((300, 1))
+        w = rng.standard_normal((300, 2))
+        states, actions = closed_loop_rollout(system, np.zeros((1, 2)), offsets, w)
+        ref_states, ref_actions = stepped_rollout(system, np.zeros((1, 2)), offsets, w, np.zeros(2))
+        assert np.allclose(states, ref_states, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(actions, ref_actions)
+
+    @pytest.mark.parametrize("K, offsets, w, x0", [
+        (np.zeros((2, 3)), np.zeros((10, 1)), np.zeros((10, 3)), None),   # offsets d_u
+        (np.zeros((2, 3)), np.zeros((9, 2)), np.zeros((10, 3)), None),    # offsets T
+        (np.zeros((3, 2)), np.zeros((10, 2)), np.zeros((10, 3)), None),   # K transposed
+        (np.zeros((2, 3)), np.zeros((10, 2)), np.zeros((10, 2)), None),   # w d_x
+        (np.zeros((2, 3)), np.zeros((10, 2)), np.zeros(10), None),        # w one-dimensional
+        (np.zeros((2, 3)), np.zeros((10, 2)), np.zeros((10, 3)), np.zeros(2)),  # x0
+    ])
+    def test_shapes_checked(self, K, offsets, w, x0):
+        system = random_stable_system(3, 2, 0.8, seed=1)
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            closed_loop_rollout(system, K, offsets, w, x0=x0)

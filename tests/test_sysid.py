@@ -6,7 +6,7 @@ from scream.dac import ClosedLoop, QuadraticTrackingCost, lipschitz_constants
 from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
 from scream.oco import ContractViolation
 from scream.sysid import (IdentificationConfig, InsufficientExcitation, default_exploration_rounds,
-                          identify_system, moments_from_exploration, run_unknown_pipeline,
+                          explore, identify_system, moments_from_exploration, run_unknown_pipeline,
                           smallest_controllability_index)
 
 
@@ -110,6 +110,54 @@ class TestIdentification:
         for j in range(k + 1):
             expected = sum(np.outer(states[t + j + 1], signs[t]) for t in range(n)) / n
             assert np.allclose(moments.N[j], expected, atol=1e-12)
+
+
+class TestExplore:
+    def test_matches_step_loop(self):
+        # nonzero feedback and single input; the reference steps one round at a time
+        plant = LinearSystem(np.array([[0.6, 0.2, 0.0], [0.0, 0.5, 0.3], [0.1, 0.0, 0.7]]),
+                             np.array([[1.0], [0.0], [0.5]]))
+        K = np.array([[0.2, -0.1, 0.3]])
+        w = np.random.default_rng(3).uniform(-0.1, 0.1, (5000, 3))
+        traj, signs = explore(plant, K, 4000, w, np.random.default_rng(8))
+        assert np.array_equal(signs, np.random.default_rng(8).choice([-1.0, 1.0], size=(4000, 1)))
+        x = np.zeros(3)
+        ref_states, ref_actions = [x], []
+        for t in range(4000):
+            u = -K @ x + signs[t]
+            ref_actions.append(u)
+            x = plant.A @ x + plant.B @ u + w[t]
+            ref_states.append(x)
+        scale = np.max(np.abs(ref_states))
+        assert np.max(np.abs(traj.states - np.asarray(ref_states))) <= 1e-11 * scale
+        assert np.max(np.abs(traj.actions - np.asarray(ref_actions))) <= 1e-11 * scale
+        assert traj.max_residual(plant) <= 1e-11 * scale
+        assert np.array_equal(traj.disturbances, w[:4000])
+
+    def test_one_cost_value_per_round(self):
+        p = preset("sysid-3x2", seed=0)
+        rng = np.random.default_rng(4)
+        costs = [QuadraticTrackingCost(rng.uniform(-0.3, 0.3, 3)) for _ in range(300)]
+        traj, _ = explore(p.system, p.K, 300, p.disturbance.sequence(300),
+                          np.random.default_rng(1), costs=costs)
+        assert [c.value_calls for c in costs] == [1] * 300
+        assert [c.grad_calls for c in costs] == [0] * 300
+        expected = [QuadraticTrackingCost(c.target).value(x, u)
+                    for c, x, u in zip(costs, traj.states, traj.actions)]
+        assert traj.costs.tolist() == expected
+
+    def test_diverging_closed_loop_gives_non_finite_moments(self):
+        # spectral radius 1.3: the states overflow, and the moment check rejects them
+        plant = LinearSystem(np.array([[0.9, 0.5], [0.0, 1.3]]), np.array([[1.0], [0.5]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolation, match="moment estimates have non-finite entries"):
+                identify_system(plant, np.zeros((1, 2)), IdentificationConfig(3000, 2),
+                                np.zeros((3000, 2)), seed=1)
+
+    def test_budget_needs_enough_disturbances(self):
+        p = preset("sysid-3x2", seed=0)
+        with pytest.raises(ContractViolation):
+            explore(p.system, p.K, 100, np.zeros((99, 3)), np.random.default_rng(0))
 
 
 def pipeline_pieces(T=260, T0=60, H=2, seed=0):
