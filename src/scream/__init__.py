@@ -2,12 +2,14 @@
 
 The package provides:
 
-* ``oco`` / ``omd``: memory-loss oracles, regret accounting, and the two
-  mirror-descent updates (projected gradient descent, multiplicative weights);
-* ``learners``: the movement-regularized meta-expert learner and its
-  baselines for online convex optimization with memory;
+* ``oco`` / ``omd``: memory-loss oracles, regret accounting, and the
+  multiplicative-weights (Hedge) step with its simplex check;
+* ``learners``: the meta-expert engine (Hedge over projected-gradient
+  experts on a step-size grid), the movement-regularized learner built on it,
+  and its baselines for online convex optimization with memory;
 * ``lds`` / ``dac`` / ``control``: linear-system simulation, the
-  disturbance-action reduction, and the meta-expert controller;
+  disturbance-action reduction, and the controller that runs the same engine
+  over DAC parameters;
 * ``sysid``: identification via random sign inputs and the explore-then-commit
   pipeline for unknown dynamics;
 * ``bench`` / ``cli``: the reproducible benchmark harness.
@@ -15,7 +17,7 @@ The package provides:
 
 from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLoss,
                   SquareLossStream, path_length, regret_metrics, square_loss, window_losses)
-from .omd import OmdState, Regularizer, hedge_step, ogd_step, omd_step
+from .omd import hedge_step
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
                        build_step_size_pool, nonuniform_prior, run_ader, run_ogd_memory,
                        run_online, run_scream, surrogate_losses)

@@ -22,7 +22,7 @@ from .control import (ControlConfig, best_fixed_dac_per_segment, control_traject
 from .csvio import emit_csv
 from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lipschitz_constants,
                   state_action_bound, tracking_grad_coeff)
-from .lds import preset
+from .lds import preset, preset_names
 from .learners import ScreamConfig, run_ader, run_ogd_memory, run_scream, trajectory_rows
 from .oco import ContractViolation, DomainBall, SquareLossStream
 from .sysid import IdentificationConfig, identify_system
@@ -383,6 +383,7 @@ def run_control_cell(scenario: ControlScenario, seed: int,
     run = run_scream_control(loop, loop.system, disturbances, costs, config, feasible=feasible,
                              record_weights=record_weights)
     wall_ms = (time.perf_counter() - start) * 1000.0
+    check_movement_bounds(run.controller, config.constants.grad_bound, run.controller.rounds)
     comparators = best_fixed_dac_per_segment(loop, costs, disturbances, scenario.segments(), feasible)
     report = dynamic_policy_regret_control(run, loop.system, comparators, feasible)
     if scenario.per_round:
@@ -440,6 +441,9 @@ class SysidScenario:
     outdir: str = "bench-out"
 
     def __post_init__(self):
+        if self.preset not in preset_names():
+            raise ContractViolation(
+                f"unknown system preset {self.preset!r}; available: {preset_names()}")
         if not self.budgets:
             raise ContractViolation("need at least one exploration budget")
         for budget in self.budgets:
@@ -453,7 +457,8 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
     """Monte-Carlo identification error across exploration budgets; writes a JSON report.
 
     A trial that raises is recorded in ``failures.txt`` as ``(T0, seed): exception``
-    and left out of the trials; the sweep goes on.
+    and left out of the trials; the sweep goes on.  The log-log slope is NaN
+    unless at least two budgets have a median.
     """
     sys_preset = preset(scenario.preset, seed=0)
     plant = sys_preset.system
@@ -486,7 +491,7 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
         if errs:  # a budget whose every trial failed has no median
             medians[budget] = float(np.median(errs))
     slope = float("nan")
-    if medians:
+    if len(medians) >= 2:  # one point determines no slope
         slope = float(np.polyfit(np.log(list(medians)), np.log(list(medians.values())), 1)[0])
     report = {"scenario": scenario.name, "k": scenario.k, "budgets": list(scenario.budgets),
               "median_err_A": {str(b): m for b, m in medians.items()}, "loglog_slope": slope,

@@ -1,8 +1,9 @@
 """Meta-expert DAC controller with a movement-regularized meta loss.
 
-The controller keeps a bank of projected-gradient experts over DAC parameter
-space (geometric step-size grid), aggregates them with multiplicative weights,
-and charges each expert for its own Frobenius movement inside the meta loss.
+The controller is the meta-expert engine of :mod:`scream.learners` run over
+DAC parameter space: projected-gradient experts on a geometric step-size grid,
+aggregated by multiplicative weights that charge each expert for its own
+Frobenius movement inside the meta loss.
 Rounds 1..H are a warm-up in which the parameters stay at their feasible
 initialization (the origin, i.e. pure -Kx control) while disturbances are
 recorded; learning starts once the window can support the truncated loss.
@@ -18,9 +19,9 @@ import numpy as np
 from .dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, LipschitzConstants,
                   dac_action, simulate_dac, unary_truncated_gradient)
 from .lds import LinearSystem, Trajectory, recover_disturbance, step_dynamics
-from .learners import StepSizePool, build_step_size_pool, nonuniform_prior, scream_meta_rate
+from .learners import (MetaExpertLearner, StepSizePool, build_step_size_pool,
+                       nonuniform_prior, scream_meta_rate)
 from .oco import ContractViolation, RegretReport, path_length
-from .omd import OmdState, hedge_step
 
 
 def default_truncation_length(T: int, gamma: float) -> int:
@@ -90,65 +91,50 @@ class ControlConfig:
         }
 
 
-class ScreamControl:
+class ScreamControl(MetaExpertLearner):
     """Closed-loop learner: aggregate experts, act, then learn from the revealed cost.
 
-    Expert parameter sets start at the feasible set's center (all zeros), so
-    warm-up actions reduce to u = -K x.
+    The meta-expert engine over DAC parameter sets of shape (H, d_u, d_x),
+    projected by per-block singular-value clipping.  Expert parameter sets
+    start at the feasible set's center (all zeros), so warm-up actions reduce
+    to u = -K x.
     """
 
     def __init__(self, loop: ClosedLoop, feasible: DacFeasibleSet, config: ControlConfig,
                  record_weights: bool = False):
         if feasible.H != config.H:
             raise ContractViolation("feasible set and configuration disagree on H")
+        super().__init__(config.pool, nonuniform_prior(config.pool.n), config.meta_rate,
+                         config.lam, feasible.zeros().shape, self._project,
+                         record_weights=record_weights)
         self.loop = loop
         self.feasible = feasible
         self.config = config
-        n = config.pool.n
-        self.experts = np.zeros((n,) + feasible.zeros().shape)
-        self.prev_experts = self.experts.copy()
-        self.weights = nonuniform_prior(n)
         self.window = DisturbanceWindow(loop.system.d_x, 2 * config.H + 1)
-        self.round = 0
-        self.grad_evals = 0
-        self.meta_movement_slack = -math.inf
-        self.weight_history: list[np.ndarray] | None = [] if record_weights else None
+        self.warmup_left = config.H
 
-    @property
-    def n_experts(self) -> int:
-        return len(self.weights)
-
-    def aggregated(self) -> np.ndarray:
-        return np.einsum("i,i...->...", self.weights, self.experts)
+    def _project(self, experts: np.ndarray) -> np.ndarray:
+        projected = self.feasible.project(experts)
+        if not self.feasible.contains(projected, tol=1e-7):
+            raise AssertionError(
+                "internal invariant failure: expert left the feasible set after projection")
+        return projected
 
     def action(self, x) -> np.ndarray:
-        return dac_action(self.loop.K, self.aggregated(), x, self.window.lags(self.config.H))
+        return dac_action(self.loop.K, self.decide(), x, self.window.lags(self.config.H))
 
     def learn(self, cost) -> None:
-        """Meta and expert updates from the truncated loss of the revealed cost."""
-        self.round += 1
-        if self.weight_history is not None:
-            self.weight_history.append(self.weights.copy())
-        if self.round <= self.config.H:
-            return  # warm-up: parameters frozen until the window supports the truncation
-        lags = self.window.lags()
-        gradient = unary_truncated_gradient(cost, self.loop, self.aggregated(), lags)
-        self.grad_evals += 1
+        """Meta and expert updates from the truncated loss of the revealed cost.
 
-        movement = np.linalg.norm((self.experts - self.prev_experts).reshape(self.n_experts, -1), axis=1)
-        ell = self.config.lam * movement + np.einsum("ikux,kux->i", self.experts, gradient)
-        new_weights = hedge_step(OmdState(self.weights, self.config.meta_rate), ell).point
-        moved = float(np.abs(new_weights - self.weights).sum())
-        self.meta_movement_slack = max(self.meta_movement_slack,
-                                       moved - self.config.meta_rate * float(np.max(np.abs(ell))))
-        self.weights = new_weights
-
-        self.prev_experts = self.experts
-        etas = self.config.pool.as_array()
-        stepped = self.experts - etas[:, None, None, None] * gradient[None]
-        self.experts = self.feasible.project(stepped)
-        if not self.feasible.contains(self.experts, tol=1e-7):
-            raise AssertionError("internal invariant failure: expert left the feasible set after projection")
+        The first H rounds are a warm-up: the parameters stay frozen until the
+        window supports the truncation.
+        """
+        if self.warmup_left:
+            self.warmup_left -= 1
+            if self.weight_history is not None:
+                self.weight_history.append(self.weights.copy())
+            return
+        self.step(unary_truncated_gradient(cost, self.loop, self.decide(), self.window.lags()))
 
     def record_transition(self, x, u, x_next) -> None:
         """Recover the disturbance with the believed dynamics and push it into the window."""
@@ -228,7 +214,7 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
     params = np.empty((T, H, d_u, d_x))
     states[0] = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
     for t in range(T):
-        params[t] = controller.aggregated()
+        params[t] = controller.decide()
         u = controller.action(states[t])
         actions[t] = u
         values[t] = costs[t].value(states[t], u)
@@ -237,11 +223,6 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
         controller.record_transition(states[t], u, states[t + 1])
         believed[t] = controller.window.lags(1)[0]
     return ControlRun(states, actions, disturbances, believed, values, params, list(costs), controller)
-
-
-def replay_dac_policies(plant: LinearSystem, K, param_seq, disturbances, costs, x0=None) -> Trajectory:
-    """Counterfactual closed loop of a comparator policy sequence on recorded disturbances."""
-    return simulate_dac(plant, K, param_seq, disturbances, x0=x0, costs=costs)
 
 
 def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparator_params,
@@ -267,7 +248,7 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
 
     K = run.controller.loop.K
     lam = run.controller.config.lam if lam is None else float(lam)
-    replay = replay_dac_policies(plant, K, comp, run.disturbances, run.costs, x0=run.states[0])
+    replay = simulate_dac(plant, K, comp, run.disturbances, x0=run.states[0], costs=run.costs)
     cumulative = float(np.sum(run.cost_values))
     flat = comp.reshape(run.T, -1)
 
@@ -275,7 +256,8 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
         best_fixed = math.inf
         for cand in np.unique(flat, axis=0):
             fixed = cand.reshape(comp.shape[1:])
-            traj = replay_dac_policies(plant, K, fixed, run.disturbances, run.costs, x0=run.states[0])
+            traj = simulate_dac(plant, K, fixed, run.disturbances, x0=run.states[0],
+                                costs=run.costs)
             best_fixed = min(best_fixed, float(np.sum(traj.costs)))
         return best_fixed
 

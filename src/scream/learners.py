@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLossStream,
                   regret_metrics, window_losses)
-from .omd import OmdState, hedge_step
+from .omd import hedge_step
 
 
 def pool_size(T: int) -> int:
@@ -119,19 +119,25 @@ class ScreamConfig:
 class MetaExpertLearner:
     """Bank of projected-gradient experts combined by a multiplicative-weights meta-algorithm.
 
-    Experts start at the origin and the previous-decision buffer starts equal
-    to the experts, so the movement penalty of the first round is zero.
+    The one engine of both the OCO learners and the controller.  Each expert
+    is a point of shape ``shape``, stored flat as a row of an (n, P) array;
+    ``project`` maps an (n, *shape) array of stepped experts back into the
+    feasible set.  Experts start at the origin and the previous-decision
+    buffer starts equal to the experts, so the movement penalty of the first
+    round is zero.
     """
 
-    def __init__(self, domain: DomainBall, pool: StepSizePool, prior: np.ndarray,
-                 meta_rate: float, surrogate_lam: float, record_weights: bool = False):
+    def __init__(self, pool: StepSizePool, prior: np.ndarray, meta_rate: float,
+                 surrogate_lam: float, shape: tuple[int, ...],
+                 project: Callable[[np.ndarray], np.ndarray], record_weights: bool = False):
         prior = np.asarray(prior, dtype=float)
         if prior.shape != (pool.n,):
             raise ContractViolation("prior length must match the pool size")
-        self.domain = domain
         self.etas = pool.as_array()
-        self.experts = np.zeros((pool.n, domain.dim))
-        self.prev_experts = self.experts.copy()
+        self.shape = tuple(shape)
+        self.project = project
+        self.flat = np.zeros((pool.n, math.prod(self.shape)))
+        self.prev_flat = self.flat.copy()
         self.weights = prior.copy()
         self.meta_rate = float(meta_rate)
         self.surrogate_lam = float(surrogate_lam)
@@ -147,42 +153,51 @@ class MetaExpertLearner:
     def n_experts(self) -> int:
         return len(self.etas)
 
+    @property
+    def experts(self) -> np.ndarray:
+        """The experts as an (n, *shape) view."""
+        return self.flat.reshape((self.n_experts,) + self.shape)
+
     def decide(self) -> np.ndarray:
-        return self.weights @ self.experts
+        # written into an array of its own shape: a reshaped view would keep a second
+        # array header alive for every decision a run records
+        decision = np.empty(self.shape)
+        np.matmul(self.weights, self.flat, out=decision.reshape(-1))
+        return decision
 
-    def _project_rows(self, rows: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(rows, axis=1)
-        scale = np.where(norms > self.domain.radius, self.domain.radius / np.maximum(norms, 1e-300), 1.0)
-        return rows * scale[:, None]
-
-    def observe(self, loss: MemoryLoss) -> None:
-        w_t = self.decide()
-        gradient = loss.grad(w_t)  # the single gradient evaluation of the round
+    def step(self, gradient) -> None:
+        """Surrogate losses, Hedge, meta slack, then the projected expert step, from one gradient."""
+        g = np.asarray(gradient, dtype=float).reshape(-1)
         self.grad_evals += 1
 
-        ell = surrogate_losses(self.experts, self.prev_experts, gradient, self.surrogate_lam)
+        ell = surrogate_losses(self.flat, self.prev_flat, g, self.surrogate_lam)
         if self.weight_history is not None:
             self.weight_history.append(self.weights.copy())
             self.surrogate_history.append(ell.copy())
-        new_weights = hedge_step(OmdState(self.weights, self.meta_rate), ell).point
+        new_weights = hedge_step(self.weights, ell, self.meta_rate)
         moved = float(np.abs(new_weights - self.weights).sum())
         self.meta_movement_slack = max(self.meta_movement_slack,
                                        moved - self.meta_rate * float(np.max(np.abs(ell))))
         self.weights = new_weights
 
-        self.prev_experts = self.experts
-        stepped = self._project_rows(self.experts - self.etas[:, None] * gradient[None, :])
-        self.expert_switching += np.linalg.norm(stepped - self.experts, axis=1)
-        self.experts = stepped
+        self.prev_flat = self.flat
+        stepped = (self.flat - self.etas[:, None] * g[None, :]).reshape(self.experts.shape)
+        stepped = self.project(stepped).reshape(self.flat.shape)
+        self.expert_switching += np.linalg.norm(stepped - self.flat, axis=1)
+        self.flat = stepped
         self.rounds += 1
+
+    def observe(self, loss: MemoryLoss) -> None:
+        self.step(loss.grad(self.decide()))  # the single gradient evaluation of the round
 
 
 class Scream(MetaExpertLearner):
     """Switching-cost-regularized meta-expert aggregation."""
 
     def __init__(self, config: ScreamConfig, domain: DomainBall, record_weights: bool = False):
-        super().__init__(domain, config.pool, nonuniform_prior(config.pool.n),
-                         config.meta_rate, config.lam, record_weights=record_weights)
+        super().__init__(config.pool, nonuniform_prior(config.pool.n), config.meta_rate,
+                         config.lam, (domain.dim,), domain.project_rows,
+                         record_weights=record_weights)
         self.config = config
 
 
@@ -192,8 +207,8 @@ class Ader(MetaExpertLearner):
     def __init__(self, config: ScreamConfig, domain: DomainBall, record_weights: bool = False):
         pool = build_step_size_pool(config.T, config.diameter, config.grad_bound, 0.0)
         rate = ader_meta_rate(config.T, config.diameter, config.grad_bound, pool.n)
-        super().__init__(domain, pool, np.full(pool.n, 1.0 / pool.n), rate, 0.0,
-                         record_weights=record_weights)
+        super().__init__(pool, np.full(pool.n, 1.0 / pool.n), rate, 0.0, (domain.dim,),
+                         domain.project_rows, record_weights=record_weights)
         self.config = config
 
 

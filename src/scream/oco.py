@@ -63,6 +63,12 @@ class DomainBall:
             return v
         return v * (self.radius / norm)
 
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Project every row of an (n, dim) array onto the ball."""
+        norms = np.linalg.norm(rows, axis=1)
+        scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
+        return rows * scale[:, None]
+
     def contains(self, x, tol: float = 1e-9) -> bool:
         v = np.asarray(x, dtype=float)
         return bool(np.all(np.isfinite(v)) and np.linalg.norm(v) <= self.radius + tol)

@@ -1,53 +1,20 @@
-"""Online mirror descent with the two geometries the algorithms use.
+"""The multiplicative-weights (Hedge) step on the simplex, and the simplex check.
 
-The Euclidean regularizer on a ball gives projected online gradient descent;
-the negative-entropy regularizer on the simplex gives the multiplicative
-(Hedge) update.  Both are pure functions of an :class:`OmdState`, so many
-states (one per expert) can be advanced independently.
+Hedge is online mirror descent with the negative-entropy regularizer; the
+meta-expert engine in :mod:`scream.learners` runs it once per round.  The
+Euclidean counterpart, projected gradient descent, is a one-line expert step
+there.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
-from .oco import ContractViolation, DomainBall, as_vector
+from .oco import ContractViolation, as_vector
 
 
-class Regularizer(enum.Enum):
-    EUCLIDEAN = "euclidean"
-    NEGATIVE_ENTROPY = "negative_entropy"
-
-
-@dataclass(frozen=True)
-class OmdState:
-    """Current point plus the (fixed, horizon-tuned) step size."""
-
-    point: np.ndarray
-    step_size: float
-
-    def __post_init__(self):
-        if not self.step_size > 0:
-            raise ContractViolation("step size must be positive")
-
-
-def uniform_simplex(n: int) -> np.ndarray:
-    if n < 1:
-        raise ContractViolation("simplex dimension must be positive")
-    return np.full(n, 1.0 / n)
-
-
-def ogd_step(state: OmdState, gradient, domain: DomainBall) -> OmdState:
-    """w' = project(w - eta * g).  Moves at most eta * ||g||_2."""
-    g = as_vector(gradient, len(state.point))
-    new_point = domain.project(state.point - state.step_size * g)
-    return OmdState(new_point, state.step_size)
-
-
-def hedge_step(state: OmdState, losses) -> OmdState:
-    """Multiplicative update p'_i proportional to p_i * exp(-eps * loss_i).
+def hedge_step(weights, losses, rate: float) -> np.ndarray:
+    """Multiplicative update p'_i proportional to p_i * exp(-rate * loss_i).
 
     The exponent is shifted by the smallest loss, so arbitrarily large loss
     scales (the movement-regularized surrogates can be huge) cannot underflow
@@ -55,37 +22,20 @@ def hedge_step(state: OmdState, losses) -> OmdState:
     loss keeps factor one.  Equal losses leave the weights bit-for-bit
     unchanged, and zero weights stay exactly zero.
     """
-    p = np.asarray(state.point, dtype=float)
+    if not rate > 0:
+        raise ContractViolation("step size must be positive")
+    p = np.asarray(weights, dtype=float)
     ell = as_vector(losses, len(p))
-    factors = np.exp(-state.step_size * (ell - ell.min()))
+    factors = np.exp(-rate * (ell - ell.min()))
     if np.all(factors == 1.0):
-        return OmdState(p, state.step_size)
+        return p
     w = p * factors
     total = w.sum()
     if not np.isfinite(total) or total <= 0:
         raise ContractViolation("hedge update produced a degenerate weight vector")
     if total != 1.0:
         w = w / total
-    return OmdState(w, state.step_size)
-
-
-def omd_step(state: OmdState, gradient, regularizer: Regularizer,
-             domain: DomainBall | None = None) -> OmdState:
-    """One mirror-descent step; dispatches on the regularizer.
-
-    Euclidean requires a ball domain and reproduces :func:`ogd_step` exactly;
-    negative entropy acts on the simplex (``gradient`` is then the loss vector
-    of the linear surrogate) and reproduces :func:`hedge_step` exactly.
-    """
-    if regularizer is Regularizer.EUCLIDEAN:
-        if domain is None:
-            raise ContractViolation("the Euclidean update needs a ball domain")
-        return ogd_step(state, gradient, domain)
-    if regularizer is Regularizer.NEGATIVE_ENTROPY:
-        if domain is not None:
-            raise ContractViolation("the entropic update acts on the simplex; no ball domain applies")
-        return hedge_step(state, gradient)
-    raise ContractViolation(f"unsupported regularizer {regularizer!r}")
+    return w
 
 
 def check_simplex(p, tol: float = 1e-12) -> bool:

@@ -16,7 +16,7 @@ from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lags_at, si
 from .lds import clip_to_ball, preset, random_stable_system
 from .learners import Scream, ScreamConfig, nonuniform_prior, run_online
 from .oco import DomainBall, square_loss
-from .omd import OmdState, check_simplex, hedge_step
+from .omd import check_simplex, hedge_step
 
 
 def _check_simplex_preservation(rng, cases=1000):
@@ -24,7 +24,7 @@ def _check_simplex_preservation(rng, cases=1000):
         n = int(rng.integers(2, 12))
         p = rng.dirichlet(np.ones(n))
         losses = rng.uniform(-50, 50, n)
-        p = hedge_step(OmdState(p, float(rng.uniform(0.001, 2.0))), losses).point
+        p = hedge_step(p, losses, float(rng.uniform(0.001, 2.0)))
         if not check_simplex(p, tol=1e-12):
             return False, "hedge left the simplex"
     return True, f"{cases} random hedge steps stayed on the simplex"

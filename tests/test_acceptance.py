@@ -18,7 +18,7 @@ from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stabil
 from scream.learners import (Scream, ScreamConfig, nonuniform_prior,
                              ogd_default_step_size, run_online)
 from scream.oco import DomainBall, square_loss
-from scream.omd import OmdState, check_simplex, hedge_step
+from scream.omd import check_simplex, hedge_step
 from scream.sysid import IdentificationConfig, identify_system, run_unknown_pipeline
 from scream.dac import lipschitz_constants
 from scream.control import ControlConfig
@@ -238,9 +238,10 @@ def test_criterion_8_structural_property_suite():
     # simplex preservation
     for _ in range(1000):
         n = int(rng.integers(2, 12))
-        out = hedge_step(OmdState(rng.dirichlet(np.ones(n)), float(rng.uniform(0.01, 2))),
-                         rng.uniform(-40, 40, n))
-        assert check_simplex(out.point, tol=1e-12)
+        p = rng.dirichlet(np.ones(n))
+        rate = float(rng.uniform(0.01, 2))
+        out = hedge_step(p, rng.uniform(-40, 40, n), rate)
+        assert check_simplex(out, tol=1e-12)
 
     # ball projection feasibility and idempotence
     for _ in range(1000):

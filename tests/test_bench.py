@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,38 @@ class TestControlBenchmark:
         assert len(lines) == 2 and all("no-such-preset" in line for line in lines)
         assert lines[0].startswith("('tracking-3x2', 0): ContractViolation")
 
+    def test_controller_within_movement_bounds(self):
+        from scream.bench import check_movement_bounds
+        from scream.control import run_scream_control
+        scenario = ControlScenario(T=120, H=2, segment_length=40, seeds=(0,))
+        loop, feasible, config, costs, w = gen_control_scenario(scenario, 0)
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        controller = run.controller
+        assert controller.rounds == 120 - 2  # warm-up rounds make no step
+        assert np.all(controller.expert_switching > 0)
+        check_movement_bounds(controller, config.constants.grad_bound, controller.rounds)
+
+    def test_movement_bound_violation_recorded_in_failures_txt(self, tmp_path, monkeypatch):
+        import scream.bench as bench_mod
+        original = bench_mod.run_scream_control
+        calls = []
+
+        def slack_on_first_seed(*args, **kwargs):
+            run = original(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 1:
+                run.controller.meta_movement_slack = 1e-3
+            return run
+
+        monkeypatch.setattr(bench_mod, "run_scream_control", slack_on_first_seed)
+        scenario = ControlScenario(T=60, H=2, segment_length=20, seeds=(0, 1),
+                                   outdir=str(tmp_path / "ctrl"))
+        result = bench_mod.run_control_benchmark(scenario)
+        assert [row.seed for row in result.rows] == [1]
+        lines = (tmp_path / "ctrl" / "failures.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "('tracking-3x2', 0): AssertionError: meta movement bound violated by 0.001"]
+
     def test_scenario_generation_reproducible(self, tmp_path):
         scenario = ControlScenario(T=80, H=2, segment_length=20, seeds=(0,))
         _, _, _, costs_a, w_a = gen_control_scenario(scenario, 0)
@@ -256,6 +290,14 @@ class TestSysidBenchmark:
         scenario = SysidScenario(budgets=(200, 400), seeds=(0,), outdir=str(tmp_path / "sysid"))
         run_sysid_benchmark(scenario)
         assert not (tmp_path / "sysid" / "failures.txt").exists()
+
+    def test_single_budget_has_no_slope(self, tmp_path):
+        scenario = SysidScenario(budgets=(200,), seeds=(0, 1), outdir=str(tmp_path / "sysid"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_sysid_benchmark(scenario)
+        assert set(report["median_err_A"]) == {"200"}
+        assert np.isnan(report["loglog_slope"])
 
     @pytest.mark.parametrize("budgets, k", [((2,), 2), ((200, 1), 1), ((200,), 0), ((), 2)])
     def test_budgets_checked_against_identification_contract(self, budgets, k):

@@ -97,6 +97,7 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench"], "alphas = 0.5, half\n", "configuration key 'alphas'"),
     (["oco-bench"], "algorithms = sgd\n", "unknown algorithm 'sgd'"),
     (["sysid-bench", "--budgets", "2"], "", "budget 2 with k = 2: need T0 > k >= 1"),
+    (["sysid-bench"], "preset = no-such-preset\n", "unknown system preset 'no-such-preset'"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):

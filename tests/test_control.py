@@ -143,7 +143,7 @@ class TestScreamControlRound:
     def test_aggregation_residual_invariant(self):
         loop, feasible, config, costs, w = small_setup(T=40)
         controller = ScreamControl(loop, feasible, config)
-        agg = controller.aggregated()
+        agg = controller.decide()
         manual = sum(p * m for p, m in zip(controller.weights, controller.experts))
         assert np.linalg.norm((agg - manual).ravel()) <= 1e-12
 
@@ -199,13 +199,13 @@ class TestControlRegret:
         comp = np.asarray([feasible.random_point(rng, scale=0.4) for _ in range(3)])
         comp = comp[np.arange(30) // 10]  # three distinct comparators
         replays = []
-        replay = control.replay_dac_policies
+        replay = control.simulate_dac
 
         def counted(*args, **kwargs):
             replays.append(1)
             return replay(*args, **kwargs)
 
-        monkeypatch.setattr(control, "replay_dac_policies", counted)
+        monkeypatch.setattr(control, "simulate_dac", counted)
         report = dynamic_policy_regret_control(run, loop.system, comp, feasible)
         assert len(replays) == 1
         static = report.static_policy_regret

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scream.learners import (Ader, Scream, ScreamConfig, ader_meta_rate,
+from scream.learners import (Ader, MetaExpertLearner, Scream, ScreamConfig, ader_meta_rate,
                              build_step_size_pool, nonuniform_prior, ogd_default_step_size,
                              pool_size, run_ader, run_ogd_memory, run_online, run_scream,
                              scream_meta_rate, surrogate_losses)
@@ -175,6 +175,40 @@ class TestScream:
             w = learner.decide()
             assert np.linalg.norm(w - learner.weights @ learner.experts) <= 1e-12
             learner.observe(square_loss(rng.standard_normal(2), 0.0))
+
+
+class TestMetaExpertEngine:
+    def engine(self, shape, project):
+        pool = build_step_size_pool(40, 2.0, 1.0, 0.5)
+        return MetaExpertLearner(pool, nonuniform_prior(pool.n), 0.3, 0.5, shape, project)
+
+    def test_parameter_shape_only_reshapes(self, rng):
+        # a (2, 3) parameter runs the same arithmetic as its flattened (6,) twin
+        ball = DomainBall(6, 2.0)
+        flat = self.engine((6,), ball.project_rows)
+        blocks = self.engine((2, 3),
+                             lambda e: ball.project_rows(e.reshape(len(e), 6)).reshape(e.shape))
+        for _ in range(40):
+            g = rng.standard_normal(6)
+            assert blocks.decide().shape == (2, 3)
+            assert np.array_equal(blocks.decide().ravel(), flat.decide())
+            flat.step(g)
+            blocks.step(g.reshape(2, 3))
+        assert np.array_equal(blocks.weights, flat.weights)
+        assert np.array_equal(blocks.experts.reshape(flat.n_experts, -1), flat.experts)
+        assert np.array_equal(blocks.expert_switching, flat.expert_switching)
+        assert blocks.rounds == blocks.grad_evals == 40
+
+    def test_observe_steps_on_the_gradient_at_the_decision(self, rng):
+        ball = DomainBall(3, 2.0)
+        by_loss = self.engine((3,), ball.project_rows)
+        by_step = self.engine((3,), ball.project_rows)
+        for _ in range(20):
+            loss = square_loss(rng.standard_normal(3), float(rng.standard_normal()))
+            by_step.step(loss.grad(by_step.decide()))
+            by_loss.observe(loss)
+        assert np.array_equal(by_loss.experts, by_step.experts)
+        assert np.array_equal(by_loss.weights, by_step.weights)
 
 
 class TestAder:

@@ -2,28 +2,44 @@ import numpy as np
 import pytest
 
 from scream.oco import ContractViolation, DomainBall
-from scream.omd import (OmdState, Regularizer, check_simplex, hedge_step, ogd_step,
-                        omd_step, uniform_simplex)
+from scream.learners import OgdMemory
+from scream.omd import check_simplex, hedge_step
+
+
+class ConstantGradient:
+    """Loss oracle whose gradient is ``g`` at every point."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=float)
+
+    def grad(self, w):
+        return self.g
+
+
+def ogd_round(point, eta, g, ball) -> np.ndarray:
+    """One round of projected gradient descent, driven through OgdMemory."""
+    learner = OgdMemory(eta, ball, start=point)
+    learner.observe(ConstantGradient(g))
+    return learner.point
 
 
 class TestOgdStep:
     def test_interior_step(self):
         # 0 - 0.1 * (1, 0) stays inside the radius-1 ball
-        state = OmdState(np.zeros(2), 0.1)
-        out = ogd_step(state, np.array([1.0, 0.0]), DomainBall(2, 2.0))
-        assert np.allclose(out.point, [-0.1, 0.0], atol=0)
+        out = ogd_round(np.zeros(2), 0.1, np.array([1.0, 0.0]), DomainBall(2, 2.0))
+        assert np.allclose(out, [-0.1, 0.0], atol=0)
 
     def test_zero_gradient_fixed_point(self, rng):
         ball = DomainBall(3, 2.0)
         w = ball.project(rng.standard_normal(3))
-        out = ogd_step(OmdState(w, 0.5), np.zeros(3), ball)
-        assert np.array_equal(out.point, w)
+        out = ogd_round(w, 0.5, np.zeros(3), ball)
+        assert np.array_equal(out, w)
 
     def test_outward_step_projected_to_sphere(self):
         ball = DomainBall(2, 2.0)
         w = np.array([1.0, 0.0])  # on the boundary
-        out = ogd_step(OmdState(w, 0.5), np.array([-1.0, 0.0]), ball)
-        assert np.linalg.norm(out.point) == pytest.approx(ball.radius, rel=1e-12)
+        out = ogd_round(w, 0.5, np.array([-1.0, 0.0]), ball)
+        assert np.linalg.norm(out) == pytest.approx(ball.radius, rel=1e-12)
 
     def test_movement_bounded_by_eta_grad(self, rng):
         ball = DomainBall(4, 3.0)
@@ -31,34 +47,34 @@ class TestOgdStep:
             w = ball.project(rng.standard_normal(4))
             g = rng.standard_normal(4) * rng.uniform(0, 5)
             eta = float(rng.uniform(0.001, 1.0))
-            out = ogd_step(OmdState(w, eta), g, ball)
-            assert np.linalg.norm(out.point - w) <= eta * np.linalg.norm(g) + 1e-12
+            out = ogd_round(w, eta, g, ball)
+            assert np.linalg.norm(out - w) <= eta * np.linalg.norm(g) + 1e-12
 
 
 class TestHedgeStep:
     def test_equal_losses_leave_uniform_weights(self):
-        p = uniform_simplex(5)
-        out = hedge_step(OmdState(p, 0.7), np.full(5, 3.0))
-        assert np.allclose(out.point, p, atol=1e-15)
+        p = np.full(5, 1.0 / 5)
+        out = hedge_step(p, np.full(5, 3.0), 0.7)
+        assert np.allclose(out, p, atol=1e-15)
 
     def test_hand_example(self):
         # (0.5, 0.5) with losses (0, ln 2) at rate 1: (0.5, 0.25) -> (2/3, 1/3)
-        out = hedge_step(OmdState(np.array([0.5, 0.5]), 1.0), np.array([0.0, np.log(2.0)]))
-        assert np.allclose(out.point, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        out = hedge_step(np.array([0.5, 0.5]), np.array([0.0, np.log(2.0)]), 1.0)
+        assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_zero_weight_stays_zero(self):
-        out = hedge_step(OmdState(np.array([0.0, 0.4, 0.6]), 0.5), np.array([0.0, 1.0, 2.0]))
-        assert out.point[0] == 0.0
-        assert check_simplex(out.point)
+        out = hedge_step(np.array([0.0, 0.4, 0.6]), np.array([0.0, 1.0, 2.0]), 0.5)
+        assert out[0] == 0.0
+        assert check_simplex(out)
 
     def test_simplex_preserved_under_extreme_losses(self, rng):
         for _ in range(1000):
             n = int(rng.integers(1, 12))
             p = rng.dirichlet(np.ones(n))
             ell = rng.uniform(-1, 1, n) * 10 ** rng.integers(0, 6)
-            out = hedge_step(OmdState(p, float(rng.uniform(0.001, 2.0))), ell)
-            assert check_simplex(out.point, tol=1e-12)
-            assert out.point.min() >= 0
+            out = hedge_step(p, ell, float(rng.uniform(0.001, 2.0)))
+            assert check_simplex(out, tol=1e-12)
+            assert out.min() >= 0
 
     def test_movement_bound(self, rng):
         # per-step l1 movement never exceeds rate * max |loss|
@@ -67,66 +83,24 @@ class TestHedgeStep:
             p = rng.dirichlet(np.ones(n))
             ell = rng.uniform(-3, 3, n)
             eps = float(rng.uniform(0.01, 1.0))
-            out = hedge_step(OmdState(p, eps), ell)
-            assert np.abs(out.point - p).sum() <= eps * np.abs(ell).max() + 1e-9
+            out = hedge_step(p, ell, eps)
+            assert np.abs(out - p).sum() <= eps * np.abs(ell).max() + 1e-9
 
     def test_nan_losses_rejected(self):
         with pytest.raises(ContractViolation):
-            hedge_step(OmdState(uniform_simplex(3), 0.5), np.array([0.0, np.nan, 1.0]))
-
-
-class TestOmdDispatch:
-    def test_euclidean_reproduces_ogd(self, rng):
-        ball = DomainBall(3, 2.0)
-        for _ in range(100):
-            w = ball.project(rng.standard_normal(3))
-            g = rng.standard_normal(3)
-            state = OmdState(w, 0.3)
-            assert np.array_equal(omd_step(state, g, Regularizer.EUCLIDEAN, ball).point,
-                                  ogd_step(state, g, ball).point)
-
-    def test_entropy_reproduces_hedge(self, rng):
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(4))
-            ell = rng.standard_normal(4)
-            state = OmdState(p, 0.2)
-            assert np.array_equal(omd_step(state, ell, Regularizer.NEGATIVE_ENTROPY).point,
-                                  hedge_step(state, ell).point)
-
-    def test_unsupported_pairings_rejected(self):
-        with pytest.raises(ContractViolation):
-            omd_step(OmdState(np.zeros(2), 0.1), np.zeros(2), Regularizer.EUCLIDEAN, None)
-        with pytest.raises(ContractViolation):
-            omd_step(OmdState(uniform_simplex(2), 0.1), np.zeros(2),
-                     Regularizer.NEGATIVE_ENTROPY, DomainBall(2, 1.0))
-
-    def test_movement_bound_both_geometries(self, rng):
-        # ||x - x'|| <= eta ||g||_* for 1000 random steps in each geometry
-        ball = DomainBall(5, 2.0)
-        for _ in range(1000):
-            w = ball.project(rng.standard_normal(5))
-            g = rng.standard_normal(5) * rng.uniform(0, 4)
-            eta = float(rng.uniform(0.01, 0.8))
-            out = omd_step(OmdState(w, eta), g, Regularizer.EUCLIDEAN, ball)
-            assert np.linalg.norm(out.point - w) <= eta * np.linalg.norm(g) + 1e-12
-        for _ in range(1000):
-            p = rng.dirichlet(np.ones(5))
-            ell = rng.standard_normal(5) * rng.uniform(0, 4)
-            eps = float(rng.uniform(0.01, 0.8))
-            out = omd_step(OmdState(p, eps), ell, Regularizer.NEGATIVE_ENTROPY)
-            assert np.abs(out.point - p).sum() <= eps * np.abs(ell).max() + 1e-9
+            hedge_step(np.full(3, 1.0 / 3), np.array([0.0, np.nan, 1.0]), 0.5)
 
 
 def test_ogd_cumulative_switching_under_eta_g_t(rng):
     # over a whole trajectory the movement is at most eta * G * T
     ball = DomainBall(3, 2.0)
     T, eta, G = 400, 0.05, 1.5
-    state = OmdState(np.zeros(3), eta)
+    learner = OgdMemory(eta, ball)
     total = 0.0
     for _ in range(T):
         g = rng.standard_normal(3)
         g *= min(1.0, G / np.linalg.norm(g))
-        new = ogd_step(state, g, ball)
-        total += float(np.linalg.norm(new.point - state.point))
-        state = new
+        before = learner.point
+        learner.observe(ConstantGradient(g))
+        total += float(np.linalg.norm(learner.point - before))
     assert total <= eta * G * T + 1e-9
