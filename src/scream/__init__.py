@@ -2,28 +2,28 @@
 
 The package provides:
 
-* ``oco`` / ``omd``: memory-loss oracles, regret accounting, and the
-  multiplicative-weights (Hedge) step with its simplex check;
-* ``learners``: the meta-expert engine (Hedge over projected-gradient
-  experts on a step-size grid), the movement-regularized learner built on it,
-  and its baselines for online convex optimization with memory;
+* ``oco``: memory-loss oracles and regret accounting;
+* ``learners``: the multiplicative-weights (Hedge) step, the meta-expert
+  engine (Hedge over projected-gradient experts on a step-size grid), the
+  movement-regularized learner built on it, and its baselines for online
+  convex optimization with memory;
 * ``lds`` / ``dac`` / ``control``: linear-system simulation, the
   disturbance-action reduction, and the controller that runs the same engine
   over DAC parameters;
 * ``sysid``: identification via random sign inputs and the explore-then-commit
   pipeline for unknown dynamics;
-* ``bench`` / ``cli``: the reproducible benchmark harness.
+* ``bench`` / ``cli``: the reproducible benchmark harness;
+* ``verify``: the randomized structural sweeps behind ``scream verify``.
 """
 
 from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLoss,
                   SquareLossStream, path_length, regret_metrics, square_loss, window_losses)
-from .omd import hedge_step
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
-                       build_step_size_pool, nonuniform_prior, run_ader, run_ogd_memory,
-                       run_online, run_scream, surrogate_losses)
+                       build_step_size_pool, hedge_step, nonuniform_prior, run_ader,
+                       run_ogd_memory, run_online, run_scream, surrogate_losses)
 from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Trajectory,
                   certify_strong_stability, closed_loop_rollout, preset, random_stable_system,
-                  recover_disturbance, simulate, step_dynamics)
+                  recover_disturbance, step_dynamics)
 from .dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, LipschitzConstants,
                   QuadraticTrackingCost, dac_action, lipschitz_constants, simulate_dac,
                   state_via_transfer, transfer_matrix, truncated_loss,

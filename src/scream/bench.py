@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import (ControlConfig, best_fixed_dac_per_segment, control_trajectory_rows,
-                      default_truncation_length, dynamic_policy_regret_control,
-                      run_scream_control, segment_boundaries)
+                      dynamic_policy_regret_control, run_scream_control, segment_boundaries)
 from .csvio import emit_csv
 from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lipschitz_constants,
                   state_action_bound, tracking_grad_coeff)
@@ -314,7 +313,7 @@ class ControlScenario:
     name: str = "tracking-3x2"
     preset: str = "mild-3x2"
     T: int = 2000
-    H: int = 5  # None picks the horizon-scaled default ceil(log T / log(1/(1-gamma)))
+    H: int = 5
     segment_length: int = 400
     target_radius: float = 1.0
     control_weight: float = 0.1
@@ -345,8 +344,6 @@ def gen_control_scenario(scenario: ControlScenario, seed: int):
     """Instantiate (closed loop, feasible set, config, costs, disturbances) for one seed."""
     sys_preset = preset(scenario.preset, seed=seed)
     loop = ClosedLoop(sys_preset.system, sys_preset.K, sys_preset.certificate)
-    if scenario.H is None:
-        scenario = replace(scenario, H=default_truncation_length(scenario.T, loop.gamma))
     rng = np.random.default_rng(seed + 1000)
     boundaries = scenario.segments()
     targets_per_segment = _uniform_ball(rng, len(boundaries), sys_preset.system.d_x,

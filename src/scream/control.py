@@ -18,17 +18,10 @@ import numpy as np
 
 from .dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, LipschitzConstants,
                   dac_action, simulate_dac, unary_truncated_gradient)
-from .lds import LinearSystem, Trajectory, recover_disturbance, step_dynamics
+from .lds import LinearSystem, recover_disturbance, step_dynamics
 from .learners import (MetaExpertLearner, StepSizePool, build_step_size_pool,
                        nonuniform_prior, scream_meta_rate)
 from .oco import ContractViolation, RegretReport, path_length
-
-
-def default_truncation_length(T: int, gamma: float) -> int:
-    """H = ceil(log T / log(1 / (1 - gamma))): long enough that truncation error vanishes with T."""
-    if T < 2:
-        return 1
-    return max(1, math.ceil(math.log(T) / math.log(1.0 / (1.0 - gamma))))
 
 
 def control_pool(constants: LipschitzConstants, T: int, lam: float | None = None) -> tuple[StepSizePool, float]:
@@ -162,9 +155,6 @@ class ControlRun:
     def param_switching(self) -> float:
         diffs = np.diff(self.params, axis=0).reshape(self.T - 1, -1) if self.T > 1 else np.zeros((0, 1))
         return float(np.sum(np.linalg.norm(diffs, axis=1)))
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(self.states, self.actions, self.disturbances, self.cost_values)
 
 
 def control_trajectory_rows(run: ControlRun) -> list[dict]:

@@ -34,9 +34,3 @@ def emit_csv(rows, columns, path) -> Path:
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     return path
-
-
-def parse_csv(path) -> list[dict]:
-    """Read a CSV written by :func:`emit_csv` back into a list of string dicts."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))

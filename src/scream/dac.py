@@ -341,13 +341,6 @@ def _finite_difference_m_gradient(cost, loop: ClosedLoop, M, lags, h: float = 1e
     return grad
 
 
-def transfer_norm_bound(kappa: float, gamma: float, kappa_B: float, H: int, i: int, h: int) -> float:
-    """Certified operator-norm cap of the transfer matrix at index i (tau = kappa_B kappa^3)."""
-    tau = kappa_B * kappa ** 3
-    head = kappa ** 2 * (1 - gamma) ** i if i <= h else 0.0
-    return head + H * kappa_B * kappa ** 2 * tau * (1 - gamma) ** (i - 1)
-
-
 @dataclass(frozen=True)
 class LipschitzConstants:
     """Structural constants of the truncated-loss reduction.

@@ -8,7 +8,6 @@ when the dynamics matrices are known, which the controllers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -234,26 +233,6 @@ class Trajectory:
     def max_residual(self, system: LinearSystem) -> float:
         pred = (self.states[:-1] @ system.A.T + self.actions @ system.B.T + self.disturbances)
         return float(np.max(np.linalg.norm(self.states[1:] - pred, axis=1))) if self.T else 0.0
-
-
-def simulate(system: LinearSystem, policy: Callable[[int, np.ndarray], np.ndarray],
-             disturbances: np.ndarray, x0=None,
-             cost: Callable[[int, np.ndarray, np.ndarray], float] | None = None) -> Trajectory:
-    """Roll the closed loop forward under ``policy(t, x) -> u``."""
-    disturbances = np.asarray(disturbances, dtype=float)
-    T = disturbances.shape[0]
-    x = np.zeros(system.d_x) if x0 is None else np.asarray(x0, dtype=float).copy()
-    states = np.empty((T + 1, system.d_x))
-    actions = np.empty((T, system.d_u))
-    costs = np.zeros(T)
-    states[0] = x
-    for t in range(T):
-        u = np.asarray(policy(t, states[t]), dtype=float)
-        actions[t] = u
-        if cost is not None:
-            costs[t] = cost(t, states[t], u)
-        states[t + 1] = step_dynamics(system, states[t], u, disturbances[t])
-    return Trajectory(states, actions, disturbances, costs)
 
 
 def random_stable_system(d_x: int, d_u: int, spectral_radius: float, seed: int,

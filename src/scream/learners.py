@@ -17,8 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLossStream,
-                  regret_metrics, window_losses)
-from .omd import hedge_step
+                  as_vector, regret_metrics, window_losses)
 
 
 def pool_size(T: int) -> int:
@@ -74,6 +73,34 @@ def ader_meta_rate(T: int, diameter: float, grad_bound: float, n_experts: int) -
     if n_experts <= 1:
         return 1.0 / math.sqrt(T)  # degenerate meta: any positive rate leaves a singleton simplex fixed
     return math.sqrt(8.0 * math.log(n_experts) / ((grad_bound * diameter) ** 2 * T))
+
+
+def hedge_step(weights, losses, rate: float) -> np.ndarray:
+    """Multiplicative update p'_i proportional to p_i * exp(-rate * loss_i).
+
+    This is Hedge, online mirror descent with the negative-entropy regularizer,
+    and the meta step of :class:`MetaExpertLearner`.
+
+    The exponent is shifted by the smallest loss, so arbitrarily large loss
+    scales (the movement-regularized surrogates can be huge) cannot underflow
+    the whole weight vector: the shifted factors lie in (0, 1] and the minimal
+    loss keeps factor one.  Equal losses leave the weights bit-for-bit
+    unchanged, and zero weights stay exactly zero.
+    """
+    if not rate > 0:
+        raise ContractViolation("step size must be positive")
+    p = np.asarray(weights, dtype=float)
+    ell = as_vector(losses, len(p))
+    factors = np.exp(-rate * (ell - ell.min()))
+    if np.all(factors == 1.0):
+        return p
+    w = p * factors
+    total = w.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ContractViolation("hedge update produced a degenerate weight vector")
+    if total != 1.0:
+        w = w / total
+    return w
 
 
 def surrogate_losses(experts_now: np.ndarray, experts_prev: np.ndarray,

@@ -19,6 +19,9 @@ from .lds import LinearSystem, Trajectory, certify_strong_stability, closed_loop
 from .oco import ContractViolation
 
 
+RIDGE_CONDITION = 1e12  # Gram condition number above which recovery adds a ridge
+
+
 class InsufficientExcitation(RuntimeError):
     """The moment matrix was numerically singular; increase T0 or the controllability index."""
 
@@ -48,11 +51,7 @@ class MomentEstimates:
 
 @dataclass
 class IdentifiedSystem:
-    """Recovered dynamics; A_hat = A_K_hat + B_hat K holds by construction.
-
-    ``kappa_c_hat`` (conditioning of the estimated moment Gram) is reporting
-    metadata only; nothing is asserted against it.
-    """
+    """Recovered dynamics; A_hat = A_K_hat + B_hat K holds by construction."""
 
     A_hat: np.ndarray
     B_hat: np.ndarray
@@ -60,32 +59,12 @@ class IdentifiedSystem:
     K: np.ndarray
     config: IdentificationConfig
     exploration: Trajectory
-    kappa_c_hat: float | None = None
 
     def as_system(self, w_bound: float = 1.0) -> LinearSystem:
         return LinearSystem(self.A_hat, self.B_hat, w_bound=w_bound)
 
     def reconstruction_residual(self) -> float:
         return float(np.max(np.abs(self.A_hat - (self.A_K_hat + self.B_hat @ self.K))))
-
-
-def controllability_matrix(system: LinearSystem, K, k: int) -> np.ndarray:
-    """[B, A_K B, ..., A_K^(k-1) B] for the closed loop A_K = A - B K."""
-    a_k = system.A - system.B @ np.asarray(K, dtype=float)
-    blocks = [system.B]
-    for _ in range(k - 1):
-        blocks.append(a_k @ blocks[-1])
-    return np.hstack(blocks)
-
-
-def smallest_controllability_index(system: LinearSystem, K, max_k: int = 10,
-                                   tol: float = 1e-8) -> int:
-    """Smallest k making the controllability matrix full row-rank (numerically)."""
-    for k in range(1, max_k + 1):
-        c = controllability_matrix(system, K, k)
-        if np.linalg.matrix_rank(c, tol=tol) == system.d_x:
-            return k
-    raise ContractViolation(f"system is not controllable within index {max_k}")
 
 
 def explore(plant: LinearSystem, K, T0: int, disturbances, rng, costs=None):
@@ -112,14 +91,13 @@ def moments_from_exploration(states: np.ndarray, signs: np.ndarray, k: int) -> M
     return MomentEstimates(N)
 
 
-def recover_from_moments(moments: MomentEstimates, K,
-                         ridge_threshold: float = 1e12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def recover_from_moments(moments: MomentEstimates, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read (A_hat, B_hat, A_K_hat) off the moment stack by least squares.
 
     C0 = [N_0..N_{k-1}], C1 = [N_1..N_k]; A_K_hat = C1 C0^T (C0 C0^T)^{-1};
     B_hat = N_0; A_hat = A_K_hat + B_hat K.  A tiny diagonal ridge (1e-10) is
-    added only when the Gram matrix looks ill-conditioned, and outright
-    singularity raises :class:`InsufficientExcitation`.
+    added only when the Gram condition number exceeds ``RIDGE_CONDITION``, and
+    outright singularity raises :class:`InsufficientExcitation`.
     """
     N = moments.N
     k = N.shape[0] - 1
@@ -131,7 +109,7 @@ def recover_from_moments(moments: MomentEstimates, K,
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond):
         raise InsufficientExcitation("moment Gram matrix is singular; increase T0 or k")
-    if cond > ridge_threshold:
+    if cond > RIDGE_CONDITION:
         gram = gram + 1e-10 * np.eye(gram.shape[0])
         if float(np.linalg.cond(gram)) > 1e15:
             raise InsufficientExcitation(
@@ -149,17 +127,9 @@ def identify_system(plant: LinearSystem, K, config: IdentificationConfig, distur
     trajectory, signs = explore(plant, K, config.T0, disturbances, rng, costs=costs)
     moments = moments_from_exploration(trajectory.states, signs, config.k)
     A_hat, B_hat, A_K_hat = recover_from_moments(moments, K)
-    smallest_sv = float(np.linalg.svd(np.hstack(list(moments.N[: config.k])),
-                                      compute_uv=False).min())
-    kappa_c_hat = 1.0 / smallest_sv ** 2 if smallest_sv > 0 else float("inf")
     ident = IdentifiedSystem(A_hat, B_hat, A_K_hat, np.asarray(K, dtype=float), config,
-                             trajectory, kappa_c_hat=kappa_c_hat)
+                             trajectory)
     return ident, moments
-
-
-def default_exploration_rounds(T: int) -> int:
-    """Preset budget T0 = ceil(T^(2/3)), trading exploration cost against model error."""
-    return max(2, int(np.ceil(T ** (2.0 / 3.0))))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,9 @@ def finite_diff(fn, w, h=1e-6):
         step[i] = h
         out[i] = (fn(w + step) - fn(w - step)) / (2 * h)
     return out
+
+
+def parse_csv(path) -> list[dict]:
+    """Read a CSV written by ``scream.csvio.emit_csv`` back into a list of string dicts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))

@@ -7,8 +7,10 @@ from scream.bench import (ALGORITHMS, RESULT_COLUMNS, ControlScenario, Experimen
                           SysidScenario, gen_control_scenario, gen_piecewise_regression,
                           run_benchmark, run_cell, run_control_cell, run_sysid_benchmark,
                           summarize)
-from scream.csvio import emit_csv, parse_csv
+from scream.csvio import emit_csv
 from scream.oco import ContractViolation
+
+from conftest import parse_csv
 
 
 def tiny_config(tmp_path, **kw):

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from scream import verify
 from scream.cli import apply_updates, main, parse_config_file
 from scream.bench import ExperimentConfig
-from scream.csvio import parse_csv
+
+from conftest import parse_csv
 
 
 def test_parse_config_file(tmp_path):
@@ -161,8 +163,20 @@ def test_missing_config_file_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("scream: error: ")
 
 
-def test_verify_subcommand_exit_code():
+def test_verify_subcommand_exit_code(capsys):
     assert main(["verify", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.startswith("[PASS] ") for line in lines] == [True] * len(verify.CHECKS)
+
+
+def test_verify_subcommand_reports_a_failing_check(capsys, monkeypatch):
+    name, _ = verify.CHECKS[3]
+    checks = list(verify.CHECKS)
+    checks[3] = (name, lambda rng: (False, "forced failure"))
+    monkeypatch.setattr(verify, "CHECKS", tuple(checks))
+    assert main(["verify"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [f"[FAIL] {name}: forced failure"]
 
 
 def test_console_script_registered():

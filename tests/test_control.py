@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from scream.control import (ControlConfig, ScreamControl, best_fixed_dac_per_segment,
-                            control_pool, default_truncation_length,
-                            dynamic_policy_regret_control, run_scream_control,
+                            control_pool, dynamic_policy_regret_control, run_scream_control,
                             segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lipschitz_constants, simulate_dac)
 from scream.lds import DisturbanceGenerator, preset
 from scream.learners import build_step_size_pool, pool_size
 from scream.oco import ContractViolation
-from scream.omd import check_simplex
+from scream.verify import check_simplex
 
 
 def small_setup(seed=0, T=60, H=2, kind="piecewise-step"):
@@ -59,11 +58,6 @@ class TestControlPool:
         assert config.lam == 0.0
         reference = build_step_size_pool(50, constants.diameter, constants.grad_bound, 0.0)
         assert config.pool.etas == reference.etas
-
-    def test_default_truncation_grows_with_horizon(self):
-        h1 = default_truncation_length(1000, 0.4)
-        h2 = default_truncation_length(100000, 0.4)
-        assert h2 > h1 >= 1
 
 
 class TestScreamControlRound:

@@ -4,10 +4,17 @@ import pytest
 from scream.dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, QuadraticTrackingCost,
                         dac_action, lags_at, lipschitz_constants, simulate_dac,
                         state_action_bound, state_via_transfer, tracking_grad_coeff,
-                        transfer_matrix, transfer_norm_bound, truncated_loss, truncated_state,
+                        transfer_matrix, truncated_loss, truncated_state,
                         unary_truncated_eval, unary_truncated_gradient)
 from scream.lds import LinearSystem, preset, random_stable_system
 from scream.oco import ContractViolation
+
+
+def transfer_norm_bound(kappa, gamma, kappa_B, H, i, h):
+    """Reference: certified operator-norm cap of the transfer matrix at index i (tau = kappa_B kappa^3)."""
+    tau = kappa_B * kappa ** 3
+    head = kappa ** 2 * (1 - gamma) ** i if i <= h else 0.0
+    return head + H * kappa_B * kappa ** 2 * tau * (1 - gamma) ** (i - 1)
 
 
 def make_loop(seed=1, radius=0.9):

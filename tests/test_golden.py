@@ -23,7 +23,8 @@ import pytest
 
 from scream.bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
                           run_control_benchmark, run_sysid_benchmark)
-from scream.csvio import parse_csv
+
+from conftest import parse_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

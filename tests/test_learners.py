@@ -8,7 +8,7 @@ from scream.learners import (Ader, MetaExpertLearner, Scream, ScreamConfig, ader
                              pool_size, run_ader, run_ogd_memory, run_online, run_scream,
                              scream_meta_rate, surrogate_losses)
 from scream.oco import ContractViolation, DomainBall, square_loss
-from scream.omd import check_simplex
+from scream.verify import check_simplex
 
 
 def quad_stream(xs, ys):

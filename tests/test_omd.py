@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from scream.oco import ContractViolation, DomainBall
-from scream.learners import OgdMemory
-from scream.omd import check_simplex, hedge_step
+from scream.learners import OgdMemory, hedge_step
+from scream.verify import check_simplex
 
 
 class ConstantGradient:

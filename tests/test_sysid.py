@@ -5,9 +5,8 @@ from scream.control import ControlConfig, run_scream_control
 from scream.dac import ClosedLoop, QuadraticTrackingCost, lipschitz_constants
 from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
 from scream.oco import ContractViolation
-from scream.sysid import (IdentificationConfig, InsufficientExcitation, default_exploration_rounds,
-                          explore, identify_system, moments_from_exploration, run_unknown_pipeline,
-                          smallest_controllability_index)
+from scream.sysid import (IdentificationConfig, InsufficientExcitation, explore, identify_system,
+                          moments_from_exploration, run_unknown_pipeline)
 
 
 def scalar_plant():
@@ -78,8 +77,12 @@ class TestIdentification:
             IdentificationConfig(10, 0)
 
     def test_controllability_index_of_preset(self):
+        # k = 2 is the smallest index: [B] is rank deficient, [B, A_K B] has full row rank
         p = preset("sysid-3x2", seed=0)
-        assert smallest_controllability_index(p.system, p.K) == 2
+        B = p.system.B
+        a_k = p.system.A - B @ p.K
+        assert np.linalg.matrix_rank(B, tol=1e-8) < 3
+        assert np.linalg.matrix_rank(np.hstack([B, a_k @ B]), tol=1e-8) == 3
 
     def test_fictitious_disturbance_error_identity(self, rng):
         # || w - w_hat || <= ||A - A_hat|| ||x|| + ||B - B_hat|| ||u|| (algebraic)
@@ -173,10 +176,6 @@ def pipeline_pieces(T=260, T0=60, H=2, seed=0):
 
 
 class TestPipeline:
-    def test_default_budget_is_two_thirds_power(self):
-        assert default_exploration_rounds(1000) == int(np.ceil(1000 ** (2 / 3)))
-        assert default_exploration_rounds(64000) == 1600
-
     def test_perfect_injection_matches_known_system_run(self):
         p, loop_truth, config, costs, w = pipeline_pieces()
         T0 = 60
