@@ -2,7 +2,7 @@
 
 The package provides:
 
-* ``oco``: memory-loss oracles and regret accounting;
+* ``oco``: square-loss streams with analytic gradients, and regret accounting;
 * ``learners``: the multiplicative-weights (Hedge) step, the meta-expert
   engine (Hedge over projected-gradient experts on a step-size grid), the
   movement-regularized learner built on it, and its baselines for online
@@ -16,8 +16,8 @@ The package provides:
 * ``verify``: the randomized structural sweeps behind ``scream verify``.
 """
 
-from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLoss,
-                  SquareLossStream, path_length, regret_metrics, square_loss, window_losses)
+from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, SquareLossStream,
+                  path_length, regret_metrics)
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
                        build_step_size_pool, hedge_step, nonuniform_prior, run_ader,
                        run_ogd_memory, run_online, run_scream, surrogate_losses)

@@ -9,6 +9,7 @@ overall = cumulative loss + lam * switching cost with lam = alpha * G.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -66,7 +67,7 @@ class ExperimentConfig:
     diameter: float = 2.0         # D
     noise_low: float = 0.0
     noise_high: float = 0.1
-    truth_radius: float = None  # type: ignore[assignment]
+    truth_radius: float | None = None  # None: derived, see model_radius
     alphas: tuple[float, ...] = (0.1, 0.5, 1.0)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -79,18 +80,28 @@ class ExperimentConfig:
                 raise ContractViolation(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
         if self.T < 1 or self.d < 1 or self.segment_length < 1:
             raise ContractViolation("T, d and segment_length must be positive")
-        if self.truth_radius is None:
-            # largest radius for which the worst-case gradient norm, noise included,
-            # stays within G = D * Gamma^2:  Gamma^2 (D/2 + r) + noise * Gamma <= G
-            bound = ((self.grad_bound - self.noise_high * self.feature_radius)
-                     / self.feature_radius ** 2 - self.diameter / 2.0)
-            object.__setattr__(self, "truth_radius", min(bound, self.diameter / 2.0))
-        if not 0 < self.truth_radius <= self.diameter / 2.0:
+        if not all(math.isfinite(alpha) and alpha >= 0 for alpha in self.alphas):
+            raise ContractViolation(f"alphas must be finite and non-negative, got {self.alphas}")
+        if not 0 < self.model_radius <= self.diameter / 2.0:
             raise ContractViolation("truth radius must lie in (0, D/2]")
 
     @property
     def grad_bound(self) -> float:
         return self.diameter * self.feature_radius ** 2  # G = D * Gamma^2
+
+    @property
+    def model_radius(self) -> float:
+        """Radius of the ground-truth models: ``truth_radius``, or derived when that is None.
+
+        The derived radius is the largest for which the worst-case gradient
+        norm, noise included, stays within G = D * Gamma^2:
+        Gamma^2 (D/2 + r) + noise * Gamma <= G.
+        """
+        if self.truth_radius is not None:
+            return self.truth_radius
+        bound = ((self.grad_bound - self.noise_high * self.feature_radius)
+                 / self.feature_radius ** 2 - self.diameter / 2.0)
+        return min(bound, self.diameter / 2.0)
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -121,14 +132,14 @@ def gen_piecewise_regression(config: ExperimentConfig, seed: int) -> RegressionS
     """Features uniform in the Gamma-ball; targets from a segment-wise model plus noise.
 
     The ground-truth model is redrawn every ``segment_length`` rounds from the
-    ball of radius ``truth_radius``, whose default is the largest value keeping
-    the declared gradient bound valid for every feasible decision.
+    ball of radius ``model_radius``, by default the largest value keeping the
+    declared gradient bound valid for every feasible decision.
     """
     rng = np.random.default_rng(seed)
     T, d = config.T, config.d
     X = _uniform_ball(rng, T, d, config.feature_radius)
     n_seg = (T + config.segment_length - 1) // config.segment_length
-    models = _uniform_ball(rng, n_seg, d, config.truth_radius)
+    models = _uniform_ball(rng, n_seg, d, config.model_radius)
     truths = models[np.arange(T) // config.segment_length]
     noise = rng.uniform(config.noise_low, config.noise_high, T)
     y = np.einsum("td,td->t", X, truths) + noise
@@ -323,6 +334,10 @@ class ControlScenario:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     outdir: str = "bench-out"
     per_round: bool = False
+
+    def __post_init__(self):
+        if self.T < 1 or self.H < 1 or self.segment_length < 1:
+            raise ContractViolation("T, H and segment_length must be at least 1")
 
     def segments(self) -> list[tuple[int, int]]:
         return segment_boundaries(self.T, self.segment_length)

@@ -41,9 +41,17 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
 def _coerce(value: str, like):
     if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _BOOLEANS:
+            raise ValueError("expected true/false, yes/no, on/off or 1/0")
+        return _BOOLEANS[value.lower()]
+    if like is None:  # an optional number left to be derived, e.g. truth_radius
+        return float(value)
     if isinstance(like, int):
         return int(value)
     if isinstance(like, float):
@@ -120,7 +128,7 @@ def _config(args):
             updates["algorithms"] = args.algorithms
         if args.alpha:
             updates["alphas"] = args.alpha
-        if args.T:
+        if args.T is not None:
             updates["T"] = args.T
         if args.per_round:
             updates["per_round"] = True
@@ -128,9 +136,9 @@ def _config(args):
         worker_count()  # a bad SCREAM_WORKERS fails here, before any cell runs
         return config
     if args.command == "control-bench":
-        if args.T:
+        if args.T is not None:
             updates["T"] = args.T
-        if args.H:
+        if args.H is not None:
             updates["H"] = args.H
         if args.lam_multiplier is not None:
             updates["lam_multiplier"] = args.lam_multiplier

@@ -16,7 +16,6 @@ control problem to online convex optimization with memory length H + 2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,16 +305,11 @@ def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
     """Analytic gradient of the unary truncated loss with respect to ``M``.
 
     The truncated state and action are affine in the parameters, so the chain
-    rule needs only the cost gradients at (y, v).  Cost oracles without
-    gradients fall back to finite differences (with a warning).
+    rule needs only the cost gradients at (y, v).
     """
     M = np.asarray(M, dtype=float)
     lags = np.asarray(lags, dtype=float)
     H = M.shape[0]
-    if not (hasattr(cost, "grad_x") and hasattr(cost, "grad_u")):
-        warnings.warn("cost oracle exposes no gradients; using finite differences",
-                      RuntimeWarning, stacklevel=2)
-        return _finite_difference_m_gradient(cost, loop, M, lags)
     # the point (y, v) of the unary truncated loss; its value is not needed
     y = truncated_state(loop, np.broadcast_to(M, (H + 1,) + M.shape), lags)
     v = truncated_action(loop, y, M, lags)
@@ -326,18 +320,6 @@ def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
     r = np.einsum("jxu,x->ju", powers_b, q)                       # (A_K^j B)^T q
     grad = np.einsum("ju,jkx->kux", r, _lag_table(lags, H))
     grad += np.einsum("u,kx->kux", g_v, lags[:H])
-    return grad
-
-
-def _finite_difference_m_gradient(cost, loop: ClosedLoop, M, lags, h: float = 1e-6) -> np.ndarray:
-    grad = np.zeros_like(M)
-    for idx in np.ndindex(M.shape):
-        bump = M.copy()
-        bump[idx] += h
-        up, _, _ = unary_truncated_eval(cost, loop, bump, lags)
-        bump[idx] -= 2 * h
-        down, _, _ = unary_truncated_eval(cost, loop, bump, lags)
-        grad[idx] = (up - down) / (2 * h)
     return grad
 
 

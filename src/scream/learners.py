@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .oco import (ContractViolation, DomainBall, MemoryLoss, RegretReport, SquareLossStream,
-                  as_vector, regret_metrics, window_losses)
+from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, SquareLossStream,
+                  as_vector, regret_metrics)
 
 
 def pool_size(T: int) -> int:
@@ -214,7 +214,7 @@ class MetaExpertLearner:
         self.flat = stepped
         self.rounds += 1
 
-    def observe(self, loss: MemoryLoss) -> None:
+    def observe(self, loss: SquareLoss) -> None:
         self.step(loss.grad(self.decide()))  # the single gradient evaluation of the round
 
 
@@ -262,7 +262,7 @@ class OgdMemory:
     def decide(self) -> np.ndarray:
         return self.point.copy()
 
-    def observe(self, loss: MemoryLoss) -> None:
+    def observe(self, loss: SquareLoss) -> None:
         gradient = loss.grad(self.point)
         self.grad_evals += 1
         new_point = self.domain.project(self.point - self.step_size * gradient)
@@ -276,7 +276,7 @@ class OcoRun:
     """Recorded trajectory of one online run."""
 
     decisions: np.ndarray            # (T, d)
-    losses: Sequence                 # per-round oracles, as revealed
+    losses: SquareLossStream         # the run's losses, one oracle a round
     incurred: np.ndarray             # f_t on the learner's own windows
     learner: object
 
@@ -288,22 +288,14 @@ class OcoRun:
         return regret_metrics(self.decisions, comparators, self.losses, lam)
 
 
-def run_online(learner, losses: Iterable[MemoryLoss]) -> OcoRun:
-    """Drive the online protocol: decide, then reveal the round's loss oracle.
-
-    A :class:`SquareLossStream` is kept as the run's ``losses``, so the
-    evaluation reads its arrays; other oracles are kept in a list as revealed.
-    """
+def run_online(learner, losses: SquareLossStream) -> OcoRun:
+    """Drive the online protocol: decide, then reveal the round's loss oracle."""
     decisions = []
-    revealed = []
     for loss in losses:
         decisions.append(np.asarray(learner.decide(), dtype=float))
-        revealed.append(loss)
         learner.observe(loss)
-    if isinstance(losses, SquareLossStream):
-        revealed = losses
     arr = np.asarray(decisions)
-    return OcoRun(arr, revealed, window_losses(arr, revealed), learner)
+    return OcoRun(arr, losses, losses.window_losses(arr), learner)
 
 
 def run_scream(config: ScreamConfig, losses, domain: DomainBall,

@@ -1,18 +1,17 @@
 """Core types for online convex optimization with memory.
 
-A round-t loss depends on the window of the last ``m + 1`` decisions.  Losses
-arrive through per-round oracles (revealed only after the decision is
-submitted), and every algorithm in this package reports its performance
-through :func:`regret_metrics`.  A square-loss stream can be held as arrays
-(:class:`SquareLossStream`), which evaluates every round's window loss in one
-pass.
+A round-t loss depends on the window of the last ``m + 1`` decisions.  A run's
+losses are a :class:`SquareLossStream`, held as arrays.  Its round-t oracle
+(a :class:`SquareLoss`, revealed only after the decision is submitted) gives
+the analytic gradient of the unary loss; the stream evaluates every round's
+window loss in one pass, and every algorithm in this package reports its
+performance through :func:`regret_metrics`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -82,82 +81,21 @@ class DomainBall:
         return v
 
 
-def finite_difference_gradient(fn: Callable[[np.ndarray], float], w, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar function, one coordinate at a time."""
-    w = np.asarray(w, dtype=float)
-    g = np.empty_like(w)
-    for i in range(w.size):
-        e = np.zeros_like(w)
-        e[i] = h
-        g[i] = (fn(w + e) - fn(w - e)) / (2.0 * h)
-    return g
+class SquareLoss:
+    """One round's square loss f(w) = (w.x - y)^2 / 2; with memory ``m``, its window mean.
 
-
-class MemoryLoss:
-    """One round's loss oracle: the window form, its unary form, and the unary gradient.
-
-    Parameters
-    ----------
-    m : memory length; the window form applies to the last ``m + 1`` decisions.
-    window_fn : callable mapping a sequence of ``m + 1`` vectors to a float.
-    unary_fn : optional unary form; defaults to ``window_fn`` on a repeated
-        decision, which makes the window/unary consistency exact by definition.
-    grad_fn : optional gradient of the unary form.  When missing, central
-        finite differences are used and a warning is emitted once.
-    lipschitz, grad_bound : the constants L and G declared for this loss.
+    The window form applies to the last ``m + 1`` decisions.  The unary form
+    is the window form on a repeated decision, so it equals the memoryless
+    square loss; ``grad`` is its analytic gradient and counts its calls.
     """
 
-    def __init__(self, m: int, window_fn, unary_fn=None, grad_fn=None,
-                 lipschitz: float = 1.0, grad_bound: float = 1.0):
+    def __init__(self, x, y: float, m: int = 0):
         if m < 0:
             raise ContractViolation("memory length must be non-negative")
         self.m = int(m)
-        self._window_fn = window_fn
-        self._unary_fn = unary_fn
-        self._grad_fn = grad_fn
-        self.lipschitz = float(lipschitz)
-        self.grad_bound = float(grad_bound)
-        self.grad_calls = 0
-
-    def window(self, decisions: Sequence[np.ndarray]) -> float:
-        if len(decisions) != self.m + 1:
-            raise ContractViolation(
-                f"window must hold exactly {self.m + 1} decisions, got {len(decisions)}"
-            )
-        return float(self._window_fn(list(decisions)))
-
-    def unary(self, w) -> float:
-        if self._unary_fn is not None:
-            return float(self._unary_fn(w))
-        return self.window([w] * (self.m + 1))
-
-    def grad(self, w) -> np.ndarray:
-        self.grad_calls += 1
-        if self._grad_fn is not None:
-            g = np.asarray(self._grad_fn(w), dtype=float)
-        else:
-            warnings.warn("loss oracle has no gradient; falling back to finite differences",
-                          RuntimeWarning, stacklevel=2)
-            g = finite_difference_gradient(self.unary, w)
-        if not np.all(np.isfinite(g)):
-            raise ContractViolation("gradient has non-finite entries")
-        return g
-
-
-class SquareLoss(MemoryLoss):
-    """Square loss f(w) = (w.x - y)^2 / 2 as a round oracle; with memory, its window mean.
-
-    The unary form is the window form on a repeated decision, as for any
-    :class:`MemoryLoss`, so it equals the memoryless square loss.
-    """
-
-    def __init__(self, x, y: float, m: int = 0, norm: float | None = None):
-        x = np.asarray(x, dtype=float)
-        if norm is None:
-            norm = float(np.linalg.norm(x)) if x.size else 0.0
-        super().__init__(m, None, lipschitz=norm, grad_bound=norm)
-        self.x = x
+        self.x = np.asarray(x, dtype=float)
         self.y = float(y)
+        self.grad_calls = 0
 
     def _one(self, w) -> float:
         return 0.5 * (float(np.dot(w, self.x)) - self.y) ** 2
@@ -182,22 +120,13 @@ class SquareLoss(MemoryLoss):
         return g
 
 
-def square_loss(x, y: float, m: int = 0) -> SquareLoss:
-    """Square loss f(w) = (w.x - y)^2 / 2 as a memoryless oracle (m = 0 by default).
-
-    With memory it averages the window, which keeps the unary form identical
-    to the memoryless square loss.
-    """
-    return SquareLoss(x, y, m)
-
-
 class SquareLossStream(Sequence):
     """The square losses of a whole stream, held as arrays: row t of ``X`` and ``y`` is round t.
 
-    A sized sequence of round oracles: ``stream[t]`` is a :class:`SquareLoss`
-    with the values of ``square_loss(X[t], y[t], m)``.  It is built on first
-    access and then kept, so each round's ``grad_calls`` survives the run.
-    :meth:`window_losses` evaluates every round's window loss at once.
+    A sized sequence of round oracles: ``stream[t]`` is ``SquareLoss(X[t],
+    y[t], m)``.  It is built on first access and then kept, so each round's
+    ``grad_calls`` survives the run.  :meth:`window_losses` evaluates every
+    round's window loss at once.
     """
 
     def __init__(self, X, y, m: int = 0):
@@ -211,7 +140,6 @@ class SquareLossStream(Sequence):
         self.X = X
         self.y = y
         self.m = int(m)
-        self._norms = np.linalg.norm(X, axis=1)
         self._oracles: list[SquareLoss | None] = [None] * X.shape[0]
 
     def __len__(self) -> int:
@@ -220,11 +148,14 @@ class SquareLossStream(Sequence):
     def __getitem__(self, t: int) -> SquareLoss:
         oracle = self._oracles[t]
         if oracle is None:
-            oracle = self._oracles[t] = SquareLoss(self.X[t], self.y[t], self.m, self._norms[t])
+            oracle = self._oracles[t] = SquareLoss(self.X[t], self.y[t], self.m)
         return oracle
 
     def window_losses(self, decisions) -> np.ndarray:
-        """f_t(w_{t-m}, ..., w_t) for every round t of a (T, d) decision array, in one pass."""
+        """f_t(w_{t-m}, ..., w_t) for every round t of a (T, d) decision array, in one pass.
+
+        Decisions before round one are taken equal to the round-one decision.
+        """
         w = np.asarray(decisions, dtype=float)
         if w.shape != self.X.shape:
             raise ContractViolation(f"expected decisions of shape {self.X.shape}, got {w.shape}")
@@ -235,30 +166,12 @@ class SquareLossStream(Sequence):
         return np.sum(0.5 * residual ** 2, axis=1) / (self.m + 1)
 
 
-def _window_at(decisions: np.ndarray, t: int, m: int) -> list[np.ndarray]:
-    """Window (w_{t-m}, ..., w_t) with indices clamped to the first round."""
-    return [decisions[max(s, 0)] for s in range(t - m, t + 1)]
-
-
 def path_length(sequence) -> float:
     """Cumulative movement sum_{t>=2} ||v_t - v_{t-1}||_2 of a (T, d) sequence."""
     seq = np.asarray(sequence, dtype=float)
     if seq.shape[0] < 2:
         return 0.0
     return float(np.sum(np.linalg.norm(np.diff(seq, axis=0), axis=1)))
-
-
-def window_losses(decisions, losses: Sequence[MemoryLoss]) -> np.ndarray:
-    """Per-round window losses f_t(w_{t-m}, ..., w_t) of a (T, d) decision array.
-
-    Decisions before round one are taken equal to the round-one decision.  A
-    :class:`SquareLossStream` evaluates all rounds in one vectorized pass; any
-    other sequence of oracles is asked one window at a time.
-    """
-    w = np.asarray(decisions, dtype=float)
-    if isinstance(losses, SquareLossStream):
-        return losses.window_losses(w)
-    return np.array([loss.window(_window_at(w, t, loss.m)) for t, loss in enumerate(losses)])
 
 
 @dataclass
@@ -289,14 +202,13 @@ class RegretReport:
         return self.cumulative_loss - self.best_fixed_loss()
 
 
-def regret_metrics(decisions, comparators, losses: Sequence[MemoryLoss], lam: float) -> RegretReport:
+def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float) -> RegretReport:
     """Fill a :class:`RegretReport` for a finished run.
 
-    ``decisions`` and ``comparators`` are (T, d) arrays; ``losses`` the revealed
-    per-round oracles.  Decisions (and comparators) before round one are taken
-    equal to their round-one value.  The cumulative and comparator losses come
-    from :func:`window_losses`, one vectorized pass each when ``losses`` is a
-    :class:`SquareLossStream`.
+    ``decisions`` and ``comparators`` are (T, d) arrays; ``losses`` the run's
+    stream.  Decisions (and comparators) before round one are taken equal to
+    their round-one value.  The cumulative and comparator losses are one
+    :meth:`SquareLossStream.window_losses` pass each.
 
     The static policy regret is measured against the best fixed decision
     among the comparator sequence's distinct values, which coincides with the
@@ -309,12 +221,8 @@ def regret_metrics(decisions, comparators, losses: Sequence[MemoryLoss], lam: fl
     v = np.asarray(comparators, dtype=float)
     if w.shape != v.shape:
         raise ContractViolation(f"decision/comparator shape mismatch: {w.shape} vs {v.shape}")
-    T = w.shape[0]
-    if len(losses) != T:
-        raise ContractViolation(f"expected {T} loss oracles, got {len(losses)}")
-
-    cumulative = float(np.sum(window_losses(w, losses)))
-    comparator_cum = float(np.sum(window_losses(v, losses)))
+    cumulative = float(np.sum(losses.window_losses(w)))
+    comparator_cum = float(np.sum(losses.window_losses(v)))
 
     def best_fixed_loss() -> float:
         return min((sum(loss.unary(cand) for loss in losses) for cand in np.unique(v, axis=0)),

@@ -17,7 +17,7 @@ from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lags_at, si
                   truncated_state, unary_truncated_eval, unary_truncated_gradient)
 from .lds import DisturbanceGenerator, clip_to_ball, preset, random_stable_system
 from .learners import Scream, ScreamConfig, hedge_step, nonuniform_prior, run_online
-from .oco import DomainBall, square_loss
+from .oco import DomainBall, SquareLossStream
 
 
 def check_simplex(p, tol: float = 1e-12) -> bool:
@@ -99,8 +99,8 @@ def check_prior(rng, largest: int = 200):
 
 def check_one_gradient(rng, horizons=(50,)):
     for T in horizons:
-        losses = [square_loss(rng.standard_normal(3) / 2, float(rng.uniform(-1, 1)))
-                  for _ in range(T)]
+        rounds = [(rng.standard_normal(3) / 2, rng.uniform(-1, 1)) for _ in range(T)]
+        losses = SquareLossStream([x for x, _ in rounds], [y for _, y in rounds])
         config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.5)
         run_online(Scream(config, DomainBall(3, 2.0)), losses)
         counts = [loss.grad_calls for loss in losses]

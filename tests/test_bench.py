@@ -58,7 +58,7 @@ class TestPiecewiseRegression:
         config = tiny_config(tmp_path, T=500)
         stream = gen_piecewise_regression(config, seed=2)
         assert np.all(np.linalg.norm(stream.X, axis=1) <= config.feature_radius + 1e-12)
-        assert np.all(np.linalg.norm(stream.truths, axis=1) <= config.truth_radius + 1e-12)
+        assert np.all(np.linalg.norm(stream.truths, axis=1) <= config.model_radius + 1e-12)
 
 
 class TestRunCell:

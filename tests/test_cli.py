@@ -37,6 +37,28 @@ def test_apply_updates_coerces_types():
     assert config.per_round is True
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("true", True), ("yes", True), ("on", True), ("1", True), ("TRUE", True),
+    ("false", False), ("no", False), ("off", False), ("0", False), ("Off", False),
+])
+def test_apply_updates_reads_booleans(value, expected):
+    assert apply_updates(ExperimentConfig(), {"per_round": value}).per_round is expected
+
+
+@pytest.mark.parametrize("key, value, radius", [
+    ("diameter", "4", 1.9),
+    ("feature_radius", "2", 0.95),
+    ("noise_high", "0.3", 0.7),
+    ("truth_radius", "0.5", 0.5),
+    ("noise_high", "0.1", 0.9),  # the default config's radius
+])
+def test_apply_updates_derives_truth_radius_from_final_values(key, value, radius):
+    updated = apply_updates(ExperimentConfig(), {key: value})
+    built = ExperimentConfig(**{key: float(value)})
+    assert updated == built
+    assert updated.model_radius == built.model_radius == pytest.approx(radius, rel=1e-12)
+
+
 def test_apply_updates_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown configuration key"):
         apply_updates(ExperimentConfig(), {"horizon": "10"})
@@ -100,6 +122,15 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench"], "algorithms = sgd\n", "unknown algorithm 'sgd'"),
     (["sysid-bench", "--budgets", "2"], "", "budget 2 with k = 2: need T0 > k >= 1"),
     (["sysid-bench"], "preset = no-such-preset\n", "unknown system preset 'no-such-preset'"),
+    (["oco-bench"], "noise_high = 1.5\n", "truth radius must lie in (0, D/2]"),
+    (["oco-bench"], "noise_high = 1e308\n", "truth radius must lie in (0, D/2]"),
+    (["oco-bench", "--T", "0"], "", "T, d and segment_length must be positive"),
+    (["control-bench", "--T", "0"], "", "T, H and segment_length must be at least 1"),
+    (["control-bench", "--H", "0"], "", "T, H and segment_length must be at least 1"),
+    (["control-bench"], "segment_length = 0\n", "T, H and segment_length must be at least 1"),
+    (["oco-bench", "--alpha=-1"], "", "alphas must be finite and non-negative"),
+    (["oco-bench"], "alphas = 0.5, inf\n", "alphas must be finite and non-negative"),
+    (["oco-bench"], "per_round = ture\n", "configuration key 'per_round': cannot read 'ture'"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):
@@ -113,6 +144,23 @@ def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, arg
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("scream: error: ") and message in lines[0]
     assert not out.exists()
+
+
+def test_uncertifiable_system_is_a_failure_row_with_exit_two(tmp_path, capsys):
+    # spin-3x2 certifies at seed 0 but not at seed 1: kappa^2 (1-gamma)^(H+1) >= 1
+    cfg = tmp_path / "spin.cfg"
+    cfg.write_text("preset = spin-3x2\nT = 60\nsegment_length = 20\n", encoding="utf-8")
+    out = tmp_path / "ctrl"
+    code = main(["control-bench", "--config", str(cfg), "--seed", "0", "--seed", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert [row["seed"] for row in parse_csv(out / "control_results.csv")] == ["0"]
+    lines = (out / "failures.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("('tracking-3x2', 1): ContractViolation: kappa^2 (1-gamma)^(H+1)")
+    assert captured.err.splitlines() == ["cell failed " + lines[0]]
+    assert "(1 rows, 1 failures)" in captured.out
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])

@@ -316,25 +316,6 @@ class TestUnaryGradient:
         unary_truncated_gradient(cost, loop, M, lags)
         assert (cost.value_calls, cost.grad_calls) == (0, 1)
 
-    def test_gradientless_cost_falls_back_with_warning(self, rng):
-        loop = make_loop(seed=17)
-
-        class ValueOnly:
-            def __init__(self, target):
-                self.target = target
-
-            def value(self, x, u):
-                return float((x - self.target) @ (x - self.target) + 0.1 * u @ u)
-
-        M = rng.standard_normal((2, 2, 3)) * 0.1
-        lags = rng.uniform(-0.3, 0.3, (5, 3))
-        cost = ValueOnly(rng.standard_normal(3))
-        with pytest.warns(RuntimeWarning):
-            g = unary_truncated_gradient(cost, loop, M, lags)
-        reference = unary_truncated_gradient(
-            QuadraticTrackingCost(cost.target), loop, M, lags)
-        assert np.allclose(g, reference, atol=1e-6)
-
 
 class TestProjection:
     def test_feasible_input_unchanged(self, rng):

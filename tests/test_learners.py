@@ -7,12 +7,8 @@ from scream.learners import (Ader, MetaExpertLearner, Scream, ScreamConfig, ader
                              build_step_size_pool, nonuniform_prior, ogd_default_step_size,
                              pool_size, run_ader, run_ogd_memory, run_online, run_scream,
                              scream_meta_rate, surrogate_losses)
-from scream.oco import ContractViolation, DomainBall, square_loss
+from scream.oco import ContractViolation, DomainBall, SquareLoss, SquareLossStream
 from scream.verify import check_simplex
-
-
-def quad_stream(xs, ys):
-    return [square_loss(np.atleast_1d(x), float(y)) for x, y in zip(xs, ys)]
 
 
 class TestStepSizePool:
@@ -99,14 +95,14 @@ class TestScream:
         single = ScreamConfig(T=T, grad_bound=1.0, diameter=2.0, lam=0.5,
                               pool=type(pool)((pool.etas[0],)))
         domain = DomainBall(d, 2.0)
-        run, _ = run_scream(single, quad_stream(xs, ys), domain)
-        ogd_run, _ = run_ogd_memory(single, quad_stream(xs, ys), domain,
+        run, _ = run_scream(single, SquareLossStream(xs, ys), domain)
+        ogd_run, _ = run_ogd_memory(single, SquareLossStream(xs, ys), domain,
                                     step_size=pool.etas[0])
         assert np.allclose(run.decisions, ogd_run.decisions, atol=1e-14)
 
     def test_zero_gradient_stream_freezes_everything(self):
         T = 8
-        losses = [square_loss(np.zeros(2), 0.0) for _ in range(T)]
+        losses = SquareLossStream(np.zeros((T, 2)), np.zeros(T))
         config = ScreamConfig(T=T, grad_bound=1.0, diameter=2.0, lam=1.0)
         learner = Scream(config, DomainBall(2, 2.0), record_weights=True)
         run = run_online(learner, losses)
@@ -126,7 +122,7 @@ class TestScream:
 
         xs, ys = np.array([[1.0], [1.0]]), np.array([1.0, -1.0])
         learner = Scream(config, DomainBall(1, D))
-        run = run_online(learner, quad_stream(xs, ys))
+        run = run_online(learner, SquareLossStream(xs, ys))
 
         # round 1: experts at 0, weights (3/4, 1/4), submit 0
         p = np.array([0.75, 0.25])
@@ -152,7 +148,7 @@ class TestScream:
 
     def test_one_gradient_per_round(self, rng):
         T, d = 30, 3
-        losses = quad_stream(rng.standard_normal((T, d)), rng.standard_normal(T))
+        losses = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
         config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.7)
         run_online(Scream(config, DomainBall(d, 2.0)), losses)
         assert all(loss.grad_calls == 1 for loss in losses)
@@ -164,7 +160,7 @@ class TestScream:
         learner = Scream(config, domain)
         for t in range(T):
             learner.decide()
-            learner.observe(square_loss(rng.standard_normal(d), float(rng.standard_normal())))
+            learner.observe(SquareLoss(rng.standard_normal(d), float(rng.standard_normal())))
             assert check_simplex(learner.weights, tol=1e-12)
             assert all(domain.contains(w) for w in learner.experts)
 
@@ -174,7 +170,7 @@ class TestScream:
         for t in range(20):
             w = learner.decide()
             assert np.linalg.norm(w - learner.weights @ learner.experts) <= 1e-12
-            learner.observe(square_loss(rng.standard_normal(2), 0.0))
+            learner.observe(SquareLoss(rng.standard_normal(2), 0.0))
 
 
 class TestMetaExpertEngine:
@@ -204,7 +200,7 @@ class TestMetaExpertEngine:
         by_loss = self.engine((3,), ball.project_rows)
         by_step = self.engine((3,), ball.project_rows)
         for _ in range(20):
-            loss = square_loss(rng.standard_normal(3), float(rng.standard_normal()))
+            loss = SquareLoss(rng.standard_normal(3), float(rng.standard_normal()))
             by_step.step(loss.grad(by_step.decide()))
             by_loss.observe(loss)
         assert np.array_equal(by_loss.experts, by_step.experts)
@@ -228,7 +224,7 @@ class TestAder:
         ys = xs @ target + rng.normal(0, 0.5, T)
         config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.0)
         learner = Ader(config, DomainBall(d, 2.0))
-        run_online(learner, quad_stream(xs, ys))
+        run_online(learner, SquareLossStream(xs, ys))
         assert int(np.argmax(learner.weights)) == 0
         assert learner.weights[0] > 5 * learner.weights[-1]
 
@@ -242,8 +238,8 @@ class TestAder:
                                    pool=ader_pool(base), meta_rate=ader.meta_rate)
         twin = Scream(twin_config, DomainBall(d, 2.0))
         twin.weights = np.full(twin.n_experts, 1.0 / twin.n_experts)
-        run_a = run_online(ader, quad_stream(xs, ys))
-        run_b = run_online(twin, quad_stream(xs, ys))
+        run_a = run_online(ader, SquareLossStream(xs, ys))
+        run_b = run_online(twin, SquareLossStream(xs, ys))
         assert np.array_equal(run_a.decisions, run_b.decisions)
 
 
@@ -258,12 +254,12 @@ class TestOgdMemory:
         xs /= np.maximum(np.linalg.norm(xs, axis=1, keepdims=True), 1.0)
         ys = rng.uniform(-1, 1, T)
         config = ScreamConfig(T=T, grad_bound=G, diameter=2.0)
-        run, _ = run_ogd_memory(config, quad_stream(xs, ys), DomainBall(d, 2.0))
+        run, _ = run_ogd_memory(config, SquareLossStream(xs, ys), DomainBall(d, 2.0))
         eta = ogd_default_step_size(T, 2.0, G)
         assert run.learner.switching <= eta * G * T + 1e-9
 
     def test_zero_gradient_stream_constant(self):
-        losses = [square_loss(np.zeros(2), 0.0) for _ in range(10)]
+        losses = SquareLossStream(np.zeros((10, 2)), np.zeros(10))
         config = ScreamConfig(T=10, grad_bound=1.0, diameter=2.0)
         run, _ = run_ogd_memory(config, losses, DomainBall(2, 2.0))
         assert np.all(run.decisions == run.decisions[0])
@@ -272,7 +268,7 @@ class TestOgdMemory:
         # 1-D quadratic pulling toward w* = 1; static regret grows sublinearly in T
         regrets = {}
         for T in (1000, 4000, 16000):
-            losses = quad_stream(np.ones((T, 1)), np.ones(T))
+            losses = SquareLossStream(np.ones((T, 1)), np.ones(T))
             config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0)
             run, report = run_ogd_memory(config, losses, DomainBall(1, 2.0),
                                          comparators=np.ones((T, 1)))
@@ -297,7 +293,7 @@ class TestMetaRegretBound:
         ys = rng.uniform(-0.5, 0.5, T)
         config = ScreamConfig(T=T, grad_bound=G, diameter=D, lam=lam)
         learner = Scream(config, DomainBall(d, D), record_weights=True)
-        run_online(learner, quad_stream(xs, ys))
+        run_online(learner, SquareLossStream(xs, ys))
         weights = np.asarray(learner.weight_history)
         ells = np.asarray(learner.surrogate_history)
         mixture = np.einsum("ti,ti->t", weights, ells).sum()
@@ -312,7 +308,7 @@ class TestMetaRegretBound:
         xs = rng.standard_normal((T, d))
         xs *= np.minimum(1.0, (G / 2) / np.linalg.norm(xs, axis=1))[:, None]
         ys = rng.uniform(-0.5, 0.5, T)
-        losses = quad_stream(xs, ys)
+        losses = SquareLossStream(xs, ys)
         config = ScreamConfig(T=T, grad_bound=G, diameter=D, lam=lam)
         learner = Scream(config, DomainBall(d, D))
         decisions, expert_hist = [], []
@@ -357,7 +353,7 @@ def test_default_lam_is_memory_squared_lipschitz():
 def test_trajectory_rows_with_optional_weights(rng):
     from scream.learners import trajectory_rows
     T = 15
-    losses = quad_stream(rng.standard_normal((T, 2)), rng.standard_normal(T))
+    losses = SquareLossStream(rng.standard_normal((T, 2)), rng.standard_normal(T))
     config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.5)
     learner = Scream(config, DomainBall(2, 2.0), record_weights=True)
     run = run_online(learner, losses)

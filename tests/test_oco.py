@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scream.oco import (ContractViolation, DomainBall, MemoryLoss, SquareLoss, SquareLossStream,
-                        _window_at, path_length, regret_metrics, square_loss, window_losses)
+from scream.oco import (ContractViolation, DomainBall, SquareLoss, SquareLossStream, path_length,
+                        regret_metrics)
 
 from conftest import finite_diff
 
@@ -39,25 +39,19 @@ class TestDomainBall:
 class TestMemoryLoss:
     def test_square_loss_window_value(self):
         # f(w) = (w.x - y)^2 / 2 at w = 0, y = 1 gives 0.5
-        loss = square_loss(np.zeros(3), 1.0)
+        loss = SquareLoss(np.zeros(3), 1.0)
         assert loss.window([np.zeros(3)]) == pytest.approx(0.5, abs=0)
 
     def test_window_of_identical_decisions_equals_unary(self, rng):
         # bit-exact unary consistency on a memory-2 oracle
         x = rng.standard_normal(4)
-        loss = square_loss(x, 0.3, m=2)
+        loss = SquareLoss(x, 0.3, m=2)
         for _ in range(50):
             w = rng.standard_normal(4)
             assert loss.window([w, w, w]) == loss.unary(w)
 
-    def test_memory_identity_case(self):
-        # f(a, b) = ||a - b|| vanishes when both coordinates agree
-        loss = MemoryLoss(1, lambda ws: float(np.linalg.norm(ws[0] - ws[1])))
-        v = np.array([0.3, -0.2])
-        assert loss.window([v, v]) == 0.0
-
     def test_wrong_window_length(self):
-        loss = square_loss(np.ones(2), 0.0, m=1)
+        loss = SquareLoss(np.ones(2), 0.0, m=1)
         with pytest.raises(ContractViolation):
             loss.window([np.zeros(2)])
 
@@ -68,51 +62,61 @@ class TestMemoryLoss:
             m = int(rng.integers(0, 4))
             x = rng.standard_normal(d)
             y = float(rng.standard_normal())
-            loss = square_loss(x, y, m=m)
+            loss = SquareLoss(x, y, m=m)
             w = rng.standard_normal(d)
             assert loss.window([w] * (m + 1)) == loss.unary(w)
 
     def test_gradient_zero_at_zero_residual(self):
-        loss = square_loss(np.array([1.0, 0.0]), 0.0)
+        loss = SquareLoss(np.array([1.0, 0.0]), 0.0)
         assert np.allclose(loss.grad(np.zeros(2)), 0.0)
 
     def test_gradient_hand_value(self):
         # grad = (w.x - y) x; at w = 0, x = (1, 0), y = 1 that is (-1, 0)
-        loss = square_loss(np.array([1.0, 0.0]), 1.0)
+        loss = SquareLoss(np.array([1.0, 0.0]), 1.0)
         assert np.allclose(loss.grad(np.zeros(2)), [-1.0, 0.0])
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(100):
             x = rng.standard_normal(5)
             y = float(rng.standard_normal())
-            loss = square_loss(x, y)
+            loss = SquareLoss(x, y)
             w = rng.standard_normal(5)
             g = loss.grad(w)
             fd = finite_diff(loss.unary, w)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-9)
 
-    def test_missing_gradient_falls_back_with_warning(self):
-        loss = MemoryLoss(0, lambda ws: float(ws[0] @ ws[0]))
-        with pytest.warns(RuntimeWarning):
-            g = loss.grad(np.array([1.0, 2.0]))
-        assert np.allclose(g, [2.0, 4.0], atol=1e-6)
-
     def test_grad_call_counter(self):
-        loss = square_loss(np.ones(2), 0.0)
+        loss = SquareLoss(np.ones(2), 0.0)
         loss.grad(np.zeros(2))
         loss.grad(np.zeros(2))
         assert loss.grad_calls == 2
 
 
 def closure_square_loss(x, y, m=0):
-    """Reference square-loss oracle on the generic closure API (the form square_loss once had)."""
+    """Reference square loss as plain closures: (window, unary, grad)."""
     def one(w):
         return 0.5 * (float(np.dot(w, x)) - y) ** 2
 
-    def window_fn(ws):
+    def window(ws):
         return one(ws[0]) if len(ws) == 1 else sum(one(w) for w in ws) / len(ws)
 
-    return MemoryLoss(m, window_fn, grad_fn=lambda w: (float(np.dot(w, x)) - y) * x)
+    def unary(w):
+        return window([w] * (m + 1))
+
+    def grad(w):
+        return (float(np.dot(w, x)) - y) * x
+
+    return window, unary, grad
+
+
+def window_at(decisions, t, m):
+    """Window (w_{t-m}, ..., w_t) with indices clamped to the first round."""
+    return [decisions[max(s, 0)] for s in range(t - m, t + 1)]
+
+
+def oracle_window_losses(decisions, losses):
+    """Reference window losses: each round's oracle asked one window at a time."""
+    return np.array([loss.window(window_at(decisions, t, loss.m)) for t, loss in enumerate(losses)])
 
 
 class TestSquareLossStream:
@@ -124,18 +128,17 @@ class TestSquareLossStream:
         stream = SquareLossStream(X, y, m=m)
         assert len(stream) == T
         for t in range(T):
-            oracle, single = stream[t], square_loss(X[t], float(y[t]), m=m)
-            reference = closure_square_loss(X[t], float(y[t]), m=m)
+            oracle, single = stream[t], SquareLoss(X[t], float(y[t]), m=m)
+            ref_window, ref_unary, ref_grad = closure_square_loss(X[t], float(y[t]), m=m)
             assert oracle.m == single.m == m
             for _ in range(5):
                 window = list(rng.standard_normal((m + 1, d)))
                 w = window[-1]
-                assert oracle.window(window) == single.window(window) == reference.window(window)
-                assert oracle.unary(w) == single.unary(w) == reference.unary(w)
+                assert oracle.window(window) == single.window(window) == ref_window(window)
+                assert oracle.unary(w) == single.unary(w) == ref_unary(w)
                 g = oracle.grad(w)
-                assert np.array_equal(g, single.grad(w)) and np.array_equal(g, reference.grad(w))
-            assert oracle.grad_calls == single.grad_calls == reference.grad_calls == 5
-            assert oracle.grad_bound == single.grad_bound == pytest.approx(np.linalg.norm(X[t]))
+                assert np.array_equal(g, single.grad(w)) and np.array_equal(g, ref_grad(w))
+            assert oracle.grad_calls == single.grad_calls == 5
         assert stream[3] is stream[3]
         assert [loss.grad_calls for loss in stream] == [5] * T
 
@@ -144,10 +147,8 @@ class TestSquareLossStream:
         T, d = 50, 4
         stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T), m=m)
         w = rng.standard_normal((T, d))
-        loop = np.array([stream[t].window(_window_at(w, t, m)) for t in range(T)])
+        loop = oracle_window_losses(w, stream)
         assert np.allclose(stream.window_losses(w), loop, rtol=1e-12, atol=0)
-        assert np.allclose(window_losses(w, stream), window_losses(w, list(stream)),
-                           rtol=1e-12, atol=0)
 
     def test_rejects_mismatched_arrays(self, rng):
         with pytest.raises(ContractViolation):
@@ -179,11 +180,11 @@ class TestRegretMetrics:
         cumulative = sum(stream[t].window([w[t]]) for t in range(T))
         best = min(sum(loss.unary(cand) for loss in stream) for cand in np.unique(v, axis=0))
         assert static == pytest.approx(cumulative - best, rel=1e-12)
-        listed = regret_metrics(w, v, list(stream), lam=0.5)
-        assert listed.static_policy_regret == pytest.approx(static, rel=1e-12)
+        assert report.cumulative_loss == pytest.approx(oracle_window_losses(w, stream).sum(),
+                                                       rel=1e-12)
 
     def test_identical_sequences_zero(self):
-        losses = [square_loss(np.array([1.0]), 0.5) for _ in range(5)]
+        losses = SquareLossStream(np.ones((5, 1)), np.full(5, 0.5))
         w = np.full((5, 1), 0.2)
         report = regret_metrics(w, w, losses, lam=1.0)
         assert report.dynamic_policy_regret == 0.0
@@ -192,13 +193,13 @@ class TestRegretMetrics:
 
     def test_switching_cost_hand_value(self):
         # decisions 0, 1, 0 in one dimension move |1| + |-1| = 2
-        losses = [square_loss(np.array([0.0]), 0.0) for _ in range(3)]
+        losses = SquareLossStream(np.zeros((3, 1)), np.zeros(3))
         w = np.array([[0.0], [1.0], [0.0]])
         report = regret_metrics(w, np.zeros((3, 1)), losses, lam=1.0)
         assert report.switching_cost == pytest.approx(2.0, abs=0)
 
     def test_lambda_weighting(self):
-        losses = [square_loss(np.array([0.0]), 0.0) for _ in range(3)]
+        losses = SquareLossStream(np.zeros((3, 1)), np.zeros(3))
         w = np.array([[0.0], [1.0], [0.0]])
         report = regret_metrics(w, np.zeros((3, 1)), losses, lam=0.25)
         assert report.switching_cost == pytest.approx(0.5, abs=1e-15)
@@ -208,7 +209,7 @@ class TestRegretMetrics:
         T, d, m = 20, 3, 2
         xs = rng.standard_normal((T, d))
         ys = rng.standard_normal(T)
-        losses = [square_loss(xs[t], float(ys[t]), m=m) for t in range(T)]
+        losses = SquareLossStream(xs, ys, m=m)
         w = rng.standard_normal((T, d)) * 0.3
         v = rng.standard_normal((T, d)) * 0.3
         report = regret_metrics(w, v, losses, lam=0.7)
@@ -228,15 +229,15 @@ class TestRegretMetrics:
 
     def test_constant_comparator_static_equals_dynamic(self, rng):
         T = 12
-        losses = [square_loss(rng.standard_normal(2), float(rng.standard_normal()))
-                  for _ in range(T)]
+        rounds = [(rng.standard_normal(2), rng.standard_normal()) for _ in range(T)]
+        losses = SquareLossStream([x for x, _ in rounds], [y for _, y in rounds])
         w = rng.standard_normal((T, 2)) * 0.4
         v = np.tile(rng.standard_normal(2) * 0.3, (T, 1))
         report = regret_metrics(w, v, losses, lam=0.0)
         assert report.static_policy_regret == pytest.approx(report.dynamic_policy_regret, rel=1e-12)
 
     def test_length_mismatch_rejected(self):
-        losses = [square_loss(np.array([1.0]), 0.0)]
+        losses = SquareLossStream(np.ones((1, 1)), np.zeros(1))
         with pytest.raises(ContractViolation):
             regret_metrics(np.zeros((1, 1)), np.zeros((2, 1)), losses, lam=0.0)
 
@@ -253,7 +254,7 @@ def test_memory_upper_bound_decomposition(rng):
     for trial in range(25):
         xs = rng.standard_normal((T, d)) * 0.5
         ys = rng.standard_normal(T) * 0.5
-        losses = [square_loss(xs[t], float(ys[t]), m=m) for t in range(T)]
+        losses = SquareLossStream(xs, ys, m=m)
         w = rng.standard_normal((T, d)) * 0.4
         v = rng.standard_normal((T, d)) * 0.4
         # coordinate Lipschitz constant of the averaged square-loss window on this data:
