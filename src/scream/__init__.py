@@ -24,8 +24,8 @@ from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
 from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Trajectory,
                   certify_strong_stability, closed_loop_rollout, preset, random_stable_system,
                   recover_disturbance, step_dynamics)
-from .dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, LipschitzConstants,
-                  QuadraticTrackingCost, dac_action, lipschitz_constants, simulate_dac,
+from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, QuadraticTrackingCost,
+                  dac_action, lag_table, lipschitz_constants, simulate_dac,
                   state_via_transfer, transfer_matrix, truncated_loss,
                   unary_truncated_gradient)
 from .control import (ControlConfig, ScreamControl, dynamic_policy_regret_control,

@@ -75,6 +75,8 @@ class ExperimentConfig:
     per_round: bool = False
 
     def __post_init__(self):
+        if not (self.alphas and self.algorithms and self.seeds):
+            raise ContractViolation("alphas, algorithms and seeds must each name at least one value")
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHMS:
                 raise ContractViolation(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -82,6 +84,10 @@ class ExperimentConfig:
             raise ContractViolation("T, d and segment_length must be positive")
         if not all(math.isfinite(alpha) and alpha >= 0 for alpha in self.alphas):
             raise ContractViolation(f"alphas must be finite and non-negative, got {self.alphas}")
+        if not (math.isfinite(self.noise_low) and math.isfinite(self.noise_high)
+                and self.noise_low <= self.noise_high):
+            raise ContractViolation("noise bounds must be finite with noise_low <= noise_high, "
+                                    f"got [{self.noise_low}, {self.noise_high}]")
         if not 0 < self.model_radius <= self.diameter / 2.0:
             raise ContractViolation("truth radius must lie in (0, D/2]")
 
@@ -95,11 +101,13 @@ class ExperimentConfig:
 
         The derived radius is the largest for which the worst-case gradient
         norm, noise included, stays within G = D * Gamma^2:
-        Gamma^2 (D/2 + r) + noise * Gamma <= G.
+        Gamma^2 (D/2 + r) + |noise| * Gamma <= G, with |noise| at most
+        max(|noise_low|, |noise_high|).
         """
         if self.truth_radius is not None:
             return self.truth_radius
-        bound = ((self.grad_bound - self.noise_high * self.feature_radius)
+        noise = max(abs(self.noise_low), abs(self.noise_high))
+        bound = ((self.grad_bound - noise * self.feature_radius)
                  / self.feature_radius ** 2 - self.diameter / 2.0)
         return min(bound, self.diameter / 2.0)
 
@@ -338,6 +346,8 @@ class ControlScenario:
     def __post_init__(self):
         if self.T < 1 or self.H < 1 or self.segment_length < 1:
             raise ContractViolation("T, H and segment_length must be at least 1")
+        if not self.seeds:
+            raise ContractViolation("need at least one seed")
 
     def segments(self) -> list[tuple[int, int]]:
         return segment_boundaries(self.T, self.segment_length)
@@ -458,6 +468,8 @@ class SysidScenario:
                 f"unknown system preset {self.preset!r}; available: {preset_names()}")
         if not self.budgets:
             raise ContractViolation("need at least one exploration budget")
+        if not self.seeds:
+            raise ContractViolation("need at least one seed")
         for budget in self.budgets:
             try:
                 IdentificationConfig(budget, self.k)

@@ -124,9 +124,9 @@ def _config(args):
     if args.out:
         updates["outdir"] = args.out
     if args.command == "oco-bench":
-        if args.algorithms:
+        if args.algorithms is not None:
             updates["algorithms"] = args.algorithms
-        if args.alpha:
+        if args.alpha is not None:
             updates["alphas"] = args.alpha
         if args.T is not None:
             updates["T"] = args.T
@@ -145,7 +145,7 @@ def _config(args):
         if args.per_round:
             updates["per_round"] = True
         return apply_updates(ControlScenario(), updates)
-    if args.budgets:
+    if args.budgets is not None:
         updates["budgets"] = args.budgets
     return apply_updates(SysidScenario(), updates)
 

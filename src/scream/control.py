@@ -6,18 +6,17 @@ aggregated by multiplicative weights that charge each expert for its own
 Frobenius movement inside the meta loss.
 Rounds 1..H are a warm-up in which the parameters stay at their feasible
 initialization (the origin, i.e. pure -Kx control) while disturbances are
-recorded; learning starts once the window can support the truncated loss.
+recovered; learning starts at round H + 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, LipschitzConstants,
-                  dac_action, simulate_dac, unary_truncated_gradient)
+from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, _lag_table, dac_action,
+                  lag_table, simulate_dac, unary_truncated_gradient)
 from .lds import LinearSystem, recover_disturbance, step_dynamics
 from .learners import (MetaExpertLearner, StepSizePool, build_step_size_pool,
                        nonuniform_prior, scream_meta_rate)
@@ -85,12 +84,11 @@ class ControlConfig:
 
 
 class ScreamControl(MetaExpertLearner):
-    """Closed-loop learner: aggregate experts, act, then learn from the revealed cost.
+    """The meta-expert engine over DAC parameter sets of shape (H, d_u, d_x).
 
-    The meta-expert engine over DAC parameter sets of shape (H, d_u, d_x),
-    projected by per-block singular-value clipping.  Expert parameter sets
-    start at the feasible set's center (all zeros), so warm-up actions reduce
-    to u = -K x.
+    Experts are projected by per-block singular-value clipping.  Expert
+    parameter sets start at the feasible set's center (all zeros), so warm-up
+    actions reduce to u = -K x.  :func:`run_scream_control` plays the rounds.
     """
 
     def __init__(self, loop: ClosedLoop, feasible: DacFeasibleSet, config: ControlConfig,
@@ -103,8 +101,6 @@ class ScreamControl(MetaExpertLearner):
         self.loop = loop
         self.feasible = feasible
         self.config = config
-        self.window = DisturbanceWindow(loop.system.d_x, 2 * config.H + 1)
-        self.warmup_left = config.H
 
     def _project(self, experts: np.ndarray) -> np.ndarray:
         projected = self.feasible.project(experts)
@@ -112,27 +108,6 @@ class ScreamControl(MetaExpertLearner):
             raise AssertionError(
                 "internal invariant failure: expert left the feasible set after projection")
         return projected
-
-    def action(self, x) -> np.ndarray:
-        return dac_action(self.loop.K, self.decide(), x, self.window.lags(self.config.H))
-
-    def learn(self, cost) -> None:
-        """Meta and expert updates from the truncated loss of the revealed cost.
-
-        The first H rounds are a warm-up: the parameters stay frozen until the
-        window supports the truncation.
-        """
-        if self.warmup_left:
-            self.warmup_left -= 1
-            if self.weight_history is not None:
-                self.weight_history.append(self.weights.copy())
-            return
-        self.step(unary_truncated_gradient(cost, self.loop, self.decide(), self.window.lags()))
-
-    def record_transition(self, x, u, x_next) -> None:
-        """Recover the disturbance with the believed dynamics and push it into the window."""
-        w_hat = recover_disturbance(self.loop.system, x_next, x, u)
-        self.window.push(w_hat)
 
 
 @dataclass
@@ -187,6 +162,13 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
 
     With a perfectly known system the two coincide; a pipeline running on an
     identified model passes the estimate as ``loop`` and the truth as ``plant``.
+
+    Each round the controller decides once and acts on the last H recovered
+    disturbances; only then are the round's cost and disturbance revealed.
+    From round H + 1 on it takes one step on the gradient of the unary
+    truncated loss.  Recovered disturbances are kept newest-first: row
+    T - 1 - t of ``history`` holds round t's, followed by 2H + 1 zero rows, so
+    the lags of round t (``lags[i]`` = w[t - 1 - i]) are one forward slice.
     """
     disturbances = np.asarray(disturbances, dtype=float)
     T = disturbances.shape[0]
@@ -199,20 +181,23 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
     d_x, d_u, H = plant.d_x, plant.d_u, config.H
     states = np.empty((T + 1, d_x))
     actions = np.empty((T, d_u))
-    believed = np.empty((T, d_x))
+    history = np.zeros((T + 2 * H + 1, d_x))
     values = np.empty(T)
     params = np.empty((T, H, d_u, d_x))
     states[0] = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
     for t in range(T):
-        params[t] = controller.decide()
-        u = controller.action(states[t])
-        actions[t] = u
+        M = params[t] = controller.decide()
+        lags = history[T - t: T - t + 2 * H + 1]
+        u = actions[t] = dac_action(loop.K, M, states[t], lags)
         values[t] = costs[t].value(states[t], u)
-        controller.learn(costs[t])
+        if t >= H:
+            controller.step(unary_truncated_gradient(costs[t], loop, M, lags))
+        elif controller.weight_history is not None:
+            controller.weight_history.append(controller.weights.copy())
         states[t + 1] = step_dynamics(plant, states[t], u, disturbances[t])
-        controller.record_transition(states[t], u, states[t + 1])
-        believed[t] = controller.window.lags(1)[0]
-    return ControlRun(states, actions, disturbances, believed, values, params, list(costs), controller)
+        history[T - 1 - t] = recover_disturbance(loop.system, states[t + 1], states[t], u)
+    return ControlRun(states, actions, disturbances, history[:T][::-1], values, params,
+                      list(costs), controller)
 
 
 def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparator_params,
@@ -221,10 +206,7 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
 
     Comparators are replayed on the same recorded disturbance sequence and the
     same per-round costs (counterfactual simulation).  The path length is the
-    Frobenius movement of the comparator parameters; the static policy regret
-    is measured against the best fixed parameter among the distinct comparator
-    values.  It takes one replay per distinct comparator, so it runs only when
-    ``static_policy_regret`` is read; the benchmark outputs never read it.
+    Frobenius movement of the comparator parameters.
     """
     comp = np.asarray(comparator_params, dtype=float)
     if comp.ndim == 3:
@@ -240,24 +222,12 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
     lam = run.controller.config.lam if lam is None else float(lam)
     replay = simulate_dac(plant, K, comp, run.disturbances, x0=run.states[0], costs=run.costs)
     cumulative = float(np.sum(run.cost_values))
-    flat = comp.reshape(run.T, -1)
-
-    def best_fixed_loss() -> float:
-        best_fixed = math.inf
-        for cand in np.unique(flat, axis=0):
-            fixed = cand.reshape(comp.shape[1:])
-            traj = simulate_dac(plant, K, fixed, run.disturbances, x0=run.states[0],
-                                costs=run.costs)
-            best_fixed = min(best_fixed, float(np.sum(traj.costs)))
-        return best_fixed
-
     return RegretReport(
         cumulative_loss=cumulative,
         switching_cost=lam * run.param_switching(),
         dynamic_policy_regret=cumulative - float(np.sum(replay.costs)),
-        path_length=path_length(flat),
+        path_length=path_length(comp.reshape(run.T, -1)),
         lam=lam,
-        best_fixed_loss=best_fixed_loss,
     )
 
 
@@ -280,11 +250,7 @@ def best_fixed_dac_per_segment(loop: ClosedLoop, costs, disturbances, boundaries
     powers_b = loop.powers_times_b(H + 1)
     K = loop.K
     eye_u = np.eye(d_u)
-    # lag matrix per round: lags[t, i] = w_{t-1-i}, zero-padded before the start
-    lag_idx = np.arange(T)[:, None] - 1 - np.arange(2 * H + 1)[None, :]
-    padded = np.vstack([w, np.zeros((1, d_x))])
-    lags_all = padded[np.where(lag_idx >= 0, lag_idx, T)]
-    jk = 1 + np.arange(H + 1)[:, None] + np.arange(H)[None, :]
+    lags_all = lag_table(w, 2 * H + 1)
 
     out = np.empty((T, H, d_u, d_x))
     for lo, hi in boundaries:
@@ -292,7 +258,7 @@ def best_fixed_dac_per_segment(loop: ClosedLoop, costs, disturbances, boundaries
         lin = np.zeros(P)
         for t in range(lo, hi):
             lags = lags_all[t]
-            table = lags[jk]                                        # (H+1, H, d_x)
+            table = _lag_table(lags, H)                             # (H+1, H, d_x)
             y0 = np.einsum("jxz,jz->x", powers, lags[: H + 1])
             L = np.einsum("jxp,jkq->xkpq", powers_b, table).reshape(d_x, P)
             Dmat = np.einsum("up,kq->ukpq", eye_u, lags[:H]).reshape(d_u, P)

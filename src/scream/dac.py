@@ -37,7 +37,8 @@ class ClosedLoop:
             raise ContractViolation(f"controller is not certified strongly stable: {certificate.reason}")
         self.certificate = certificate
         self.a_closed = system.A - system.B @ self.K
-        self._powers = [np.eye(system.d_x)]
+        self._powers = np.empty((0, system.d_x, system.d_x))
+        self._powers_b = np.empty((0, system.d_x, system.d_u))
 
     @property
     def kappa(self) -> float:
@@ -47,15 +48,28 @@ class ClosedLoop:
     def gamma(self) -> float:
         return self.certificate.gamma
 
+    def _grow(self, count: int) -> None:
+        """Extend both stacks to ``count`` powers; they are kept read-only and handed out as slices."""
+        have = self._powers.shape[0]
+        if have >= count:
+            return
+        powers = np.empty((count,) + self._powers.shape[1:])
+        powers[:have] = self._powers
+        for j in range(have, count):
+            powers[j] = self.a_closed @ powers[j - 1] if j else np.eye(powers.shape[1])
+        powers_b = powers @ self.system.B
+        powers.flags.writeable = powers_b.flags.writeable = False
+        self._powers, self._powers_b = powers, powers_b
+
     def powers(self, count: int) -> np.ndarray:
-        """Stack [I, A_K, A_K^2, ..., A_K^(count-1)]."""
-        while len(self._powers) < count:
-            self._powers.append(self.a_closed @ self._powers[-1])
-        return np.asarray(self._powers[:count])
+        """Stack [I, A_K, A_K^2, ..., A_K^(count-1)] (a read-only view)."""
+        self._grow(count)
+        return self._powers[:count]
 
     def powers_times_b(self, count: int) -> np.ndarray:
-        """Stack [B, A_K B, ..., A_K^(count-1) B]."""
-        return self.powers(count) @ self.system.B
+        """Stack [B, A_K B, ..., A_K^(count-1) B] (a read-only view)."""
+        self._grow(count)
+        return self._powers_b[:count]
 
 
 @dataclass(frozen=True)
@@ -118,33 +132,6 @@ class DacFeasibleSet:
         norms = np.linalg.svd(raw, compute_uv=False)[:, 0]
         levels = rng.uniform(0, scale, self.H) * self.caps
         return raw * (levels / np.maximum(norms, 1e-12))[:, None, None]
-
-
-class DisturbanceWindow:
-    """Fixed-capacity buffer of the most recent disturbances, zero-padded at the start.
-
-    After pushing w up to time t - 1, ``lags(n)[i]`` is the disturbance i + 1
-    steps before round t (all-zero before anything was pushed).
-    """
-
-    def __init__(self, dim: int, capacity: int):
-        if capacity < 1:
-            raise ContractViolation("window capacity must be positive")
-        self._buf = np.zeros((capacity, dim))
-
-    @property
-    def capacity(self) -> int:
-        return self._buf.shape[0]
-
-    def push(self, w) -> None:
-        self._buf[1:] = self._buf[:-1]
-        self._buf[0] = np.asarray(w, dtype=float)
-
-    def lags(self, count: int | None = None) -> np.ndarray:
-        count = self.capacity if count is None else count
-        if count > self.capacity:
-            raise ContractViolation(f"window holds {self.capacity} lags, asked for {count}")
-        return self._buf[:count]
 
 
 def dac_action(K, M, x, lags) -> np.ndarray:
@@ -212,8 +199,8 @@ def simulate_dac(system: LinearSystem, K, M_seq, disturbances, x0=None, costs=No
 
     ``M_seq`` is either one parameter set used every round or a length-T
     sequence; the action at each round uses the actual past disturbances.  The
-    offsets sum_k M_t[k] w_(t-1-k) (zero before the start) come from one einsum
-    over a zero-padded lag array, and the rollout is one closed-loop scan.
+    offsets sum_k M_t[k] w_(t-1-k) come from one einsum over :func:`lag_table`,
+    and the rollout is one closed-loop scan.
     """
     w = np.asarray(disturbances, dtype=float)
     M_seq = np.asarray(M_seq, dtype=float)
@@ -224,31 +211,30 @@ def simulate_dac(system: LinearSystem, K, M_seq, disturbances, x0=None, costs=No
     if not shapes_ok:
         raise ContractViolation(f"dimension mismatch in DAC rollout: M_seq {M_seq.shape}, "
                                 f"disturbances {w.shape}")
-    H = M_seq.shape[-3]
-    padded = np.concatenate([np.zeros((H, system.d_x)), w])
-    lags = padded[H - 1 + np.arange(T)[:, None] - np.arange(H)[None, :]]  # lags[t, k] = w[t-1-k]
     spec = "kux,tkx->tu" if M_seq.ndim == 3 else "tkux,tkx->tu"
-    states, actions = closed_loop_rollout(system, K, np.einsum(spec, M_seq, lags), w, x0=x0)
+    offsets = np.einsum(spec, M_seq, lag_table(w, M_seq.shape[-3]))
+    states, actions = closed_loop_rollout(system, K, offsets, w, x0=x0)
     values = np.zeros(T)
     if costs is not None:
         values[:] = [costs[t].value(states[t], actions[t]) for t in range(T)]
     return Trajectory(states, actions, w, values)
 
 
+def lag_table(disturbances, count: int) -> np.ndarray:
+    """Every round's lags of a (T, d) disturbance record: ``table[t, i] = w[t - 1 - i]``.
+
+    Shape (T, count, d); disturbances before the start are zero.
+    """
+    w = np.asarray(disturbances, dtype=float)
+    T, d = w.shape
+    padded = np.concatenate([np.zeros((count, d)), w])
+    return padded[count - 1 + np.arange(T)[:, None] - np.arange(count)[None, :]]
+
+
 def _lag_table(lags: np.ndarray, H: int) -> np.ndarray:
     """Table[j, k] = lags[1 + j + k] for j = 0..H, k = 0..H-1 (needs 2H + 1 lags)."""
     idx = 1 + np.arange(H + 1)[:, None] + np.arange(H)[None, :]
     return lags[idx]
-
-
-def lags_at(disturbances, t: int, count: int) -> np.ndarray:
-    """Lag view of a disturbance record: lags[i] = w[t - 1 - i], zero before the start."""
-    w = np.asarray(disturbances, dtype=float)
-    out = np.zeros((count, w.shape[1]))
-    lo = max(t - count, 0)
-    if t > 0:
-        out[: t - lo] = w[lo:t][::-1]
-    return out
 
 
 def truncated_state(loop: ClosedLoop, M_hist, lags) -> np.ndarray:

@@ -10,10 +10,8 @@ performance through :func:`regret_metrics`.
 
 from __future__ import annotations
 
-import functools
-import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,9 +178,7 @@ class RegretReport:
 
     ``switching_cost`` is the lambda-weighted movement of the learner's own
     decisions; ``overall_loss`` is the objective ``cumulative_loss +
-    switching_cost`` used by the benchmarks.  ``best_fixed_loss`` computes the
-    cumulative loss of the best fixed comparator; it runs only when
-    ``static_policy_regret`` is first read.
+    switching_cost`` used by the benchmarks.
     """
 
     cumulative_loss: float
@@ -190,16 +186,10 @@ class RegretReport:
     dynamic_policy_regret: float
     path_length: float
     lam: float
-    best_fixed_loss: Callable[[], float] = field(repr=False, compare=False)
 
     @property
     def overall_loss(self) -> float:
         return self.cumulative_loss + self.switching_cost
-
-    @functools.cached_property
-    def static_policy_regret(self) -> float:
-        """Cumulative loss minus the best fixed comparator's, computed on first read and cached."""
-        return self.cumulative_loss - self.best_fixed_loss()
 
 
 def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float) -> RegretReport:
@@ -209,13 +199,6 @@ def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float)
     stream.  Decisions (and comparators) before round one are taken equal to
     their round-one value.  The cumulative and comparator losses are one
     :meth:`SquareLossStream.window_losses` pass each.
-
-    The static policy regret is measured against the best fixed decision
-    among the comparator sequence's distinct values, which coincides with the
-    dynamic policy regret whenever the comparator sequence is constant.  It
-    costs one unary sweep over the rounds per distinct comparator, quadratic
-    in T when the comparators drift, so it is computed only when
-    ``static_policy_regret`` is read; the benchmark outputs never read it.
     """
     w = np.asarray(decisions, dtype=float)
     v = np.asarray(comparators, dtype=float)
@@ -223,16 +206,10 @@ def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float)
         raise ContractViolation(f"decision/comparator shape mismatch: {w.shape} vs {v.shape}")
     cumulative = float(np.sum(losses.window_losses(w)))
     comparator_cum = float(np.sum(losses.window_losses(v)))
-
-    def best_fixed_loss() -> float:
-        return min((sum(loss.unary(cand) for loss in losses) for cand in np.unique(v, axis=0)),
-                   default=math.inf)
-
     return RegretReport(
         cumulative_loss=cumulative,
         switching_cost=lam * path_length(w),
         dynamic_policy_regret=cumulative - comparator_cum,
         path_length=path_length(v),
         lam=lam,
-        best_fixed_loss=best_fixed_loss,
     )

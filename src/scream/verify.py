@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lags_at, simulate_dac,
+from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lag_table, simulate_dac,
                   state_action_bound, state_via_transfer, tracking_grad_coeff, truncated_loss,
                   truncated_state, unary_truncated_eval, unary_truncated_gradient)
 from .lds import DisturbanceGenerator, clip_to_ball, preset, random_stable_system
@@ -175,8 +175,9 @@ def check_truncation_bounds(rng, horizons=(4,), T: int = 80):
         traj = simulate_dac(p.system, loop.K, M_seq, w, costs=costs)
         state_cap = loop.kappa ** 2 * (1 - loop.gamma) ** (H + 1) * d_bound
         loss_cap = 2 * g_c * d_bound ** 2 * loop.kappa ** 3 * (1 - loop.gamma) ** (H + 1)
+        lags_all = lag_table(w, 2 * H + 1)
         for t in range(H + 1, T):
-            lags = lags_at(w, t, 2 * H + 1)
+            lags = lags_all[t]
             y = truncated_state(loop, M_seq[t - 1 - H: t], lags)
             if not np.linalg.norm(traj.states[t] - y) <= state_cap:
                 return False, f"state truncation bound violated at H={H}, t={t}"

@@ -49,6 +49,7 @@ def test_apply_updates_reads_booleans(value, expected):
     ("diameter", "4", 1.9),
     ("feature_radius", "2", 0.95),
     ("noise_high", "0.3", 0.7),
+    ("noise_low", "-0.3", 0.7),  # the noise magnitude bound is max(|noise_low|, |noise_high|)
     ("truth_radius", "0.5", 0.5),
     ("noise_high", "0.1", 0.9),  # the default config's radius
 ])
@@ -131,6 +132,20 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench", "--alpha=-1"], "", "alphas must be finite and non-negative"),
     (["oco-bench"], "alphas = 0.5, inf\n", "alphas must be finite and non-negative"),
     (["oco-bench"], "per_round = ture\n", "configuration key 'per_round': cannot read 'ture'"),
+    (["oco-bench"], "noise_low = -1e308\nT = 50\nalgorithms = ogd\n",
+     "truth radius must lie in (0, D/2]"),
+    (["oco-bench"], "noise_high = inf\n", "noise bounds must be finite"),
+    (["oco-bench"], "noise_low = nan\n", "noise bounds must be finite"),
+    (["oco-bench"], "noise_low = 0.5\n", "noise_low <= noise_high"),
+    # an empty sweep, from a flag or from the file, runs nothing
+    (["oco-bench", "--alpha", ""], "", "alphas, algorithms and seeds must each name"),
+    (["oco-bench", "--algorithms", ""], "", "alphas, algorithms and seeds must each name"),
+    (["oco-bench"], "alphas =\n", "alphas, algorithms and seeds must each name"),
+    (["oco-bench"], "algorithms =\n", "alphas, algorithms and seeds must each name"),
+    (["oco-bench"], "seeds =\n", "alphas, algorithms and seeds must each name"),
+    (["control-bench"], "seeds =\n", "need at least one seed"),
+    (["sysid-bench"], "seeds =\n", "need at least one seed"),
+    (["sysid-bench", "--budgets", ""], "", "need at least one exploration budget"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):

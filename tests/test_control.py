@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from scream.bench import ControlScenario, gen_control_scenario
 from scream.control import (ControlConfig, ScreamControl, best_fixed_dac_per_segment,
                             control_pool, dynamic_policy_regret_control, run_scream_control,
                             segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
-                        lipschitz_constants, simulate_dac)
+                        lag_table, lipschitz_constants, simulate_dac)
 from scream.lds import DisturbanceGenerator, preset
 from scream.learners import build_step_size_pool, pool_size
 from scream.oco import ContractViolation
@@ -77,22 +78,23 @@ class TestScreamControlRound:
                                meta_rate=config.meta_rate, lam_multiplier=config.lam_multiplier)
         run = run_scream_control(loop, loop.system, w, costs, single, feasible=feasible)
 
-        # reference: plain projected-gradient DAC controller with the same step size
-        from scream.dac import DisturbanceWindow, unary_truncated_gradient
+        # reference: plain projected-gradient DAC controller with the same step size and
+        # its own window of the 2H + 1 latest recovered disturbances, newest first
+        from scream.dac import unary_truncated_gradient
         from scream.lds import recover_disturbance, step_dynamics
         eta = single.pool.etas[0]
         H = single.H
         M = feasible.zeros()
-        window = DisturbanceWindow(3, 2 * H + 1)
+        window = np.zeros((2 * H + 1, 3))
         x = np.zeros(3)
         for t in range(50):
-            u = dac_action(loop.K, M, x, window.lags(H))
+            u = dac_action(loop.K, M, x, window[:H])
             assert np.allclose(u, run.actions[t], atol=1e-12)
             if t + 1 > H:
-                g = unary_truncated_gradient(costs[t], loop, M, window.lags())
+                g = unary_truncated_gradient(costs[t], loop, M, window)
                 M = feasible.project(M - eta * g)
             x_next = step_dynamics(loop.system, x, u, w[t])
-            window.push(recover_disturbance(loop.system, x_next, x, u))
+            window = np.vstack([recover_disturbance(loop.system, x_next, x, u), window[:-1]])
             x = x_next
 
     def test_two_round_scalar_hand_trace(self):
@@ -141,6 +143,16 @@ class TestScreamControlRound:
         manual = sum(p * m for p, m in zip(controller.weights, controller.experts))
         assert np.linalg.norm((agg - manual).ravel()) <= 1e-12
 
+    def test_actions_replay_from_recorded_arrays(self):
+        # each action is the DAC policy of its round's parameters on the recovered disturbances
+        loop, feasible, config, costs, w = gen_control_scenario(ControlScenario(), 0)
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        lags = lag_table(run.believed_disturbances, config.H)
+        for t in range(run.T):
+            assert np.array_equal(run.actions[t],
+                                  dac_action(loop.K, run.params[t], run.states[t], lags[t]))
+        assert run.controller.grad_evals == run.T - config.H
+
     def test_one_gradient_per_learning_round(self):
         loop, feasible, config, costs, w = small_setup(T=60)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
@@ -163,8 +175,6 @@ class TestControlRegret:
         fixed = feasible.random_point(rng, scale=0.5)
         report = dynamic_policy_regret_control(run, loop.system, fixed, feasible)
         assert report.path_length == 0.0
-        assert report.dynamic_policy_regret == pytest.approx(report.static_policy_regret,
-                                                             rel=1e-12)
 
     def test_brute_force_replay_agrees(self, rng):
         loop, feasible, config, costs, w = small_setup(T=40, H=2)
@@ -185,7 +195,7 @@ class TestControlRegret:
         expected = float(np.sum(run.cost_values)) - total
         assert report.dynamic_policy_regret == pytest.approx(expected, abs=1e-10)
 
-    def test_static_regret_replays_only_when_read(self, rng, monkeypatch):
+    def test_report_takes_one_replay(self, rng, monkeypatch):
         from scream import control
 
         loop, feasible, config, costs, w = small_setup(T=30, H=2)
@@ -200,16 +210,8 @@ class TestControlRegret:
             return replay(*args, **kwargs)
 
         monkeypatch.setattr(control, "simulate_dac", counted)
-        report = dynamic_policy_regret_control(run, loop.system, comp, feasible)
+        dynamic_policy_regret_control(run, loop.system, comp, feasible)
         assert len(replays) == 1
-        static = report.static_policy_regret
-        assert len(replays) == 1 + 3
-        assert report.static_policy_regret == static and len(replays) == 1 + 3
-
-        # the eager formula: cumulative loss minus the best fixed distinct comparator's
-        best = min(float(np.sum(simulate_dac(loop.system, loop.K, cand, w, costs=costs).costs))
-                   for cand in comp[[0, 10, 20]])
-        assert static == float(np.sum(run.cost_values)) - best
 
     def test_infeasible_comparator_rejected(self, rng):
         loop, feasible, config, costs, w = small_setup(T=30)

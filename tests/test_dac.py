@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scream.dac import (ClosedLoop, DacFeasibleSet, DisturbanceWindow, QuadraticTrackingCost,
-                        dac_action, lags_at, lipschitz_constants, simulate_dac,
+from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
+                        lag_table, lipschitz_constants, simulate_dac,
                         state_action_bound, state_via_transfer, tracking_grad_coeff,
                         transfer_matrix, truncated_loss, truncated_state,
                         unary_truncated_eval, unary_truncated_gradient)
@@ -57,31 +57,44 @@ class TestDacAction:
             dac_action(np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros(3), np.zeros((1, 3)))
 
 
-class TestDisturbanceWindow:
-    def test_zero_padded_before_any_push(self):
-        window = DisturbanceWindow(3, 5)
-        assert np.all(window.lags() == 0)
+def lags_at(disturbances, t, count):
+    """Reference: the lags of round t read off the record one at a time, zero before the start."""
+    out = np.zeros((count, disturbances.shape[1]))
+    lo = max(t - count, 0)
+    if t > 0:
+        out[: t - lo] = disturbances[lo:t][::-1]
+    return out
+
+
+class TestLagTable:
+    @pytest.mark.parametrize("count", [1, 4, 13])
+    def test_matches_per_round_reference(self, rng, count):
+        w = rng.standard_normal((10, 2))
+        table = lag_table(w, count)
+        assert table.shape == (10, count, 2)
+        for t in range(10):  # includes every t < count, where the start is zero-padded
+            assert np.array_equal(table[t], lags_at(w, t, count))
 
     def test_most_recent_first(self):
-        window = DisturbanceWindow(1, 3)
-        for v in (1.0, 2.0, 3.0):
-            window.push([v])
-        assert np.allclose(window.lags()[:, 0], [3.0, 2.0, 1.0])
+        w = np.array([[1.0], [2.0], [3.0]])
+        assert np.array_equal(lag_table(w, 3)[:, :, 0], [[0, 0, 0], [1, 0, 0], [2, 1, 0]])
 
-    def test_fixed_capacity(self):
-        window = DisturbanceWindow(1, 2)
-        for v in range(5):
-            window.push([float(v)])
-        assert window.lags().shape == (2, 1)
-        with pytest.raises(ContractViolation):
-            window.lags(3)
 
-    def test_lags_at_helper_matches_window(self, rng):
-        w = rng.standard_normal((10, 2))
-        window = DisturbanceWindow(2, 4)
-        for t in range(10):
-            assert np.array_equal(lags_at(w, t, 4), window.lags())
-            window.push(w[t])
+class TestClosedLoopPowers:
+    def test_slices_of_one_stack(self):
+        loop = make_loop(seed=4)
+        short, long = loop.powers_times_b(3), loop.powers_times_b(7)
+        assert np.array_equal(short, long[:3])
+        assert np.array_equal(long, loop.powers(7) @ loop.system.B)
+        for j in range(7):
+            assert np.allclose(loop.powers(7)[j], np.linalg.matrix_power(loop.a_closed, j),
+                               rtol=1e-12, atol=1e-15)
+
+    def test_stacks_are_read_only(self):
+        loop = make_loop(seed=4)
+        for stack in (loop.powers(3), loop.powers_times_b(3)):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
 
 
 class TestTransferMatrix:
@@ -176,8 +189,9 @@ class TestTruncation:
         states = simulate_dac(p.system, p.K, M_seq, w).states
         cap = loop.kappa ** 2 * (1 - loop.gamma) ** (H + 1) * d_bound
         checked = 0
+        lags = lag_table(w, 2 * H + 1)
         for t in range(H + 1, T):
-            y = truncated_state(loop, M_seq[t - 1 - H: t], lags_at(w, t, 2 * H + 1))
+            y = truncated_state(loop, M_seq[t - 1 - H: t], lags[t])
             assert np.linalg.norm(states[t] - y) <= cap
             checked += 1
         assert checked > 100
@@ -198,9 +212,10 @@ class TestTruncation:
         w = p.disturbance.sequence(T)
         traj = simulate_dac(p.system, p.K, M_seq, w, costs=costs)
         cap = 2 * g_c * d_bound ** 2 * loop.kappa ** 3 * (1 - loop.gamma) ** (H + 1)
+        lags = lag_table(w, 2 * H + 1)
         for t in range(H + 1, T):
             window = M_seq[t - 1 - H: t + 1]
-            value, _, _ = truncated_loss(costs[t], loop, window, lags_at(w, t, 2 * H + 1))
+            value, _, _ = truncated_loss(costs[t], loop, window, lags[t])
             assert abs(traj.costs[t] - value) <= cap
 
 

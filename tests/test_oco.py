@@ -161,28 +161,6 @@ class TestSquareLossStream:
 
 
 class TestRegretMetrics:
-    def test_static_regret_computed_only_when_read(self, rng, monkeypatch):
-        T, d = 40, 3
-        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
-        w = rng.standard_normal((T, d)) * 0.3
-        v = rng.standard_normal((T, d)) * 0.3   # drifting: every comparator row is distinct
-        calls = []
-        unary = SquareLoss.unary
-        monkeypatch.setattr(SquareLoss, "unary", lambda self, u: calls.append(1) or unary(self, u))
-
-        report = regret_metrics(w, v, stream, lam=0.5)
-        assert calls == []
-        static = report.static_policy_regret
-        assert len(calls) == T * T
-        assert report.static_policy_regret == static and len(calls) == T * T
-
-        # the eager formula: cumulative loss minus the best fixed distinct comparator's
-        cumulative = sum(stream[t].window([w[t]]) for t in range(T))
-        best = min(sum(loss.unary(cand) for loss in stream) for cand in np.unique(v, axis=0))
-        assert static == pytest.approx(cumulative - best, rel=1e-12)
-        assert report.cumulative_loss == pytest.approx(oracle_window_losses(w, stream).sum(),
-                                                       rel=1e-12)
-
     def test_identical_sequences_zero(self):
         losses = SquareLossStream(np.ones((5, 1)), np.full(5, 0.5))
         w = np.full((5, 1), 0.2)
@@ -226,15 +204,6 @@ class TestRegretMetrics:
         assert report.dynamic_policy_regret == pytest.approx(cum_w - cum_v, rel=1e-12)
         assert report.switching_cost == pytest.approx(sw, rel=1e-12)
         assert report.path_length == pytest.approx(pl, rel=1e-12)
-
-    def test_constant_comparator_static_equals_dynamic(self, rng):
-        T = 12
-        rounds = [(rng.standard_normal(2), rng.standard_normal()) for _ in range(T)]
-        losses = SquareLossStream([x for x, _ in rounds], [y for _, y in rounds])
-        w = rng.standard_normal((T, 2)) * 0.4
-        v = np.tile(rng.standard_normal(2) * 0.3, (T, 1))
-        report = regret_metrics(w, v, losses, lam=0.0)
-        assert report.static_policy_regret == pytest.approx(report.dynamic_policy_regret, rel=1e-12)
 
     def test_length_mismatch_rejected(self):
         losses = SquareLossStream(np.ones((1, 1)), np.zeros(1))
