@@ -9,6 +9,10 @@ regenerated:
                  comparator row is distinct;
   control_t400   ``scream control-bench`` (tracking-3x2) with ``T = 400``,
                  seeds 0 and 1;
+  control_scaling_t500
+                 ``run_control_benchmark(scaling_scenario(500, seeds=(0, 1)))``,
+                 the single-input tracking-3x1 preset of the regret-scaling
+                 study (d_u = 1, H = 3);
   sysid_small    ``scream sysid-bench --budgets 250,1000`` with seeds 0, 1, 2.
 
 Every field is compared at the 9 significant digits the CSVs print, except
@@ -22,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from scream.bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
-                          run_control_benchmark, run_sysid_benchmark)
+                          run_control_benchmark, run_sysid_benchmark, scaling_scenario)
 
 from conftest import parse_csv
 
@@ -61,6 +65,13 @@ def test_control_benchmark_matches_golden(tmp_path):
     result = run_control_benchmark(scenario)
     assert result.ok, result.failures
     _assert_matches_golden(tmp_path, "control_t400", ("control_results.csv", "control_summary.csv"))
+
+
+def test_control_scaling_benchmark_matches_golden(tmp_path):
+    result = run_control_benchmark(scaling_scenario(500, seeds=(0, 1), outdir=str(tmp_path)))
+    assert result.ok, result.failures
+    _assert_matches_golden(tmp_path, "control_scaling_t500",
+                           ("control_results.csv", "control_summary.csv"))
 
 
 def _nine_digits(value):
