@@ -431,10 +431,10 @@ def run_control_benchmark(scenario: ControlScenario) -> BenchmarkResult:
     rows = []
     failures = []
     outdir = Path(scenario.outdir)
-    metadata = None
+    metadata = {}  # per successful seed: each seed draws its own system and constants
     for seed in scenario.seeds:
         try:
-            row, metadata = run_control_cell(scenario, seed, record_weights=scenario.per_round)
+            row, metadata[seed] = run_control_cell(scenario, seed, record_weights=scenario.per_round)
             rows.append(row)
         except Exception as exc:
             failures.append(((scenario.name, seed), f"{type(exc).__name__}: {exc}"))
@@ -442,7 +442,7 @@ def run_control_benchmark(scenario: ControlScenario) -> BenchmarkResult:
     emit_csv([r.as_dict() for r in rows], RESULT_COLUMNS, outdir / "control_results.csv")
     emit_csv(summarize(rows), SUMMARY_COLUMNS, outdir / "control_summary.csv")
     write_failures(failures, outdir)
-    if metadata is not None:
+    if metadata:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "control_metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True),
                                                       encoding="utf-8")

@@ -121,8 +121,10 @@ def _config(args):
     updates = parse_config_file(args.config) if args.config else {}
     if args.seeds:
         updates["seeds"] = tuple(args.seeds)
-    if args.out:
+    if args.out is not None:
         updates["outdir"] = args.out
+    if updates.get("outdir") == "":  # from the flag or the file; the default is never empty
+        raise ValueError("outdir must name a directory, got an empty path")
     if args.command == "oco-bench":
         if args.algorithms is not None:
             updates["algorithms"] = args.algorithms

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, _lag_table, dac_action,
-                  lag_table, simulate_dac, unary_truncated_gradient)
+from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, dac_action, lag_table,
+                  simulate_dac, unary_truncated_gradient, unary_truncated_map)
 from .lds import LinearSystem, recover_disturbance, step_dynamics
 from .learners import (MetaExpertLearner, StepSizePool, build_step_size_pool,
                        nonuniform_prior, scream_meta_rate)
@@ -201,12 +201,13 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
 
 
 def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparator_params,
-                                  feasible: DacFeasibleSet, lam: float | None = None) -> RegretReport:
+                                  feasible: DacFeasibleSet) -> RegretReport:
     """Regret of a finished run against a sequence of DAC comparator policies.
 
     Comparators are replayed on the same recorded disturbance sequence and the
     same per-round costs (counterfactual simulation).  The path length is the
-    Frobenius movement of the comparator parameters.
+    Frobenius movement of the comparator parameters; the switching cost is
+    priced at the controller's configured ``lam``.
     """
     comp = np.asarray(comparator_params, dtype=float)
     if comp.ndim == 3:
@@ -219,7 +220,7 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
         raise ContractViolation("comparator parameters leave the feasible set")
 
     K = run.controller.loop.K
-    lam = run.controller.config.lam if lam is None else float(lam)
+    lam = run.controller.config.lam
     replay = simulate_dac(plant, K, comp, run.disturbances, x0=run.states[0], costs=run.costs)
     cumulative = float(np.sum(run.cost_values))
     return RegretReport(
@@ -231,48 +232,36 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
     )
 
 
+COMPARATOR_ITERS = 300  # projected-gradient steps per segment comparator
+
+
 def best_fixed_dac_per_segment(loop: ClosedLoop, costs, disturbances, boundaries,
-                               feasible: DacFeasibleSet, iters: int = 300) -> np.ndarray:
+                               feasible: DacFeasibleSet) -> np.ndarray:
     """Offline benchmark comparators: per segment, the best fixed parameter set.
 
-    Each segment's objective is the sum of unary truncated losses of its rounds
-    (quadratic costs make it an explicit quadratic in the parameters, assembled
-    in closed form); it is minimized by projected gradient descent on the
-    assembled quadratic.  Returns one parameter set per round, piecewise
-    constant over the segments.
+    Each segment's objective is the sum of unary truncated losses of its rounds.
+    With the affine map y = y0 + L m, v = -K y + D m of
+    :func:`scream.dac.unary_truncated_map`, built once per segment, quadratic
+    costs make it an explicit quadratic in m, summed by einsums and minimized
+    by projected gradient descent.  Returns one parameter set per round,
+    piecewise constant over the segments.
     """
-    w = np.asarray(disturbances, dtype=float)
-    T = w.shape[0]
-    H = feasible.H
-    d_x, d_u = loop.system.d_x, loop.system.d_u
-    P = H * d_u * d_x
-    powers = loop.powers(H + 1)
-    powers_b = loop.powers_times_b(H + 1)
-    K = loop.K
-    eye_u = np.eye(d_u)
-    lags_all = lag_table(w, 2 * H + 1)
-
-    out = np.empty((T, H, d_u, d_x))
+    H, K, shape = feasible.H, loop.K, feasible.zeros().shape
+    lags_all = lag_table(np.asarray(disturbances, dtype=float), 2 * H + 1)
+    targets = np.array([cost.target for cost in costs])
+    rho = np.array([cost.control_weight for cost in costs])
+    out = np.empty((lags_all.shape[0],) + shape)
     for lo, hi in boundaries:
-        quad = np.zeros((P, P))
-        lin = np.zeros(P)
-        for t in range(lo, hi):
-            lags = lags_all[t]
-            table = _lag_table(lags, H)                             # (H+1, H, d_x)
-            y0 = np.einsum("jxz,jz->x", powers, lags[: H + 1])
-            L = np.einsum("jxp,jkq->xkpq", powers_b, table).reshape(d_x, P)
-            Dmat = np.einsum("up,kq->ukpq", eye_u, lags[:H]).reshape(d_u, P)
-            R = -K @ L + Dmat
-            target = costs[t].target
-            rho = costs[t].control_weight
-            quad += L.T @ L + rho * (R.T @ R)
-            lin += L.T @ (y0 - target) + rho * (R.T @ (-K @ y0))
+        y0, L, D = unary_truncated_map(loop, lags_all[lo:hi], H)
+        R = D - K @ L                                               # v = -K y0 + R m
+        quad = np.einsum("txp,txq->pq", L, L) + np.einsum("t,tup,tuq->pq", rho[lo:hi], R, R)
+        lin = (np.einsum("txp,tx->p", L, y0 - targets[lo:hi])
+               - np.einsum("t,tup,tu->p", rho[lo:hi], R, y0 @ K.T))
         step = 1.0 / max(2.0 * float(np.linalg.eigvalsh(quad).max()), 1e-12)
-        theta = np.zeros(P)
-        for _ in range(iters):
-            theta = feasible.project(
-                (theta - step * 2.0 * (quad @ theta + lin)).reshape(H, d_u, d_x)).reshape(P)
-        out[lo:hi] = theta.reshape(H, d_u, d_x)
+        theta = np.zeros(shape)
+        for _ in range(COMPARATOR_ITERS):
+            theta = feasible.project(theta - step * 2.0 * (quad @ theta.ravel() + lin).reshape(shape))
+        out[lo:hi] = theta
     return out
 
 

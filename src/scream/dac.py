@@ -9,8 +9,8 @@ feasible set is ``kappa_B * kappa^3 * (1 - gamma)^(k + 1)``.
 
 States reached under a DAC history are linear in the parameters.  The
 transfer-matrix expansion, the H-step truncated state/action/loss, and the
-analytic gradient of the unary truncated loss implemented here reduce the
-control problem to online convex optimization with memory length H + 2.
+affine map of the unary truncated loss implemented here reduce the control
+problem to online convex optimization with memory length H + 2.
 """
 
 from __future__ import annotations
@@ -232,9 +232,9 @@ def lag_table(disturbances, count: int) -> np.ndarray:
 
 
 def _lag_table(lags: np.ndarray, H: int) -> np.ndarray:
-    """Table[j, k] = lags[1 + j + k] for j = 0..H, k = 0..H-1 (needs 2H + 1 lags)."""
+    """Table[..., j, k, :] = lags[..., 1 + j + k, :] for j = 0..H, k = 0..H-1 (2H + 1 lags)."""
     idx = 1 + np.arange(H + 1)[:, None] + np.arange(H)[None, :]
-    return lags[idx]
+    return lags[..., idx, :]
 
 
 def truncated_state(loop: ClosedLoop, M_hist, lags) -> np.ndarray:
@@ -259,23 +259,18 @@ def truncated_state(loop: ClosedLoop, M_hist, lags) -> np.ndarray:
     return y
 
 
-def truncated_action(loop: ClosedLoop, y, M_newest, lags) -> np.ndarray:
-    """v = -K y + sum_k M_newest[k] @ lags[k]."""
-    return dac_action(loop.K, np.asarray(M_newest, dtype=float), y, lags)
-
-
 def truncated_loss(cost, loop: ClosedLoop, window, lags):
     """Evaluate the truncated loss on a window of H + 2 parameter sets (oldest first).
 
-    The truncated state uses the H + 1 older sets, the truncated action adds
-    the newest one; returns (value, y, v).
+    The truncated state uses the H + 1 older sets, the truncated action
+    v = -K y + sum_k M_newest[k] lags[k] adds the newest one; returns (value, y, v).
     """
     window = np.asarray(window, dtype=float)
     H = window.shape[1]
     if window.shape[0] != H + 2:
         raise ContractViolation(f"window must hold exactly H + 2 = {H + 2} parameter sets")
     y = truncated_state(loop, window[:-1], lags)
-    v = truncated_action(loop, y, window[-1], lags)
+    v = dac_action(loop.K, window[-1], y, lags)
     return float(cost.value(y, v)), y, v
 
 
@@ -287,26 +282,39 @@ def unary_truncated_eval(cost, loop: ClosedLoop, M, lags):
     return truncated_loss(cost, loop, window, lags)
 
 
+def unary_truncated_map(loop: ClosedLoop, lags, H: int):
+    """The unary truncated state and action as affine maps of m = M.ravel().
+
+    ``lags`` has shape (..., 2H + 1, d_x): one round's lags or a stack of
+    rounds.  Returns (y0, L, D) of shapes (..., d_x), (..., d_x, P) and
+    (..., d_u, P) with P = H d_u d_x, such that the truncated state is
+    y = y0 + L m and the truncated action is v = -K y + D m.
+    """
+    lags = np.asarray(lags, dtype=float)
+    if lags.shape[-2] < 2 * H + 1:
+        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
+    batch, d_x, d_u = lags.shape[:-2], loop.system.d_x, loop.system.d_u
+    P = H * d_u * d_x
+    y0 = np.einsum("jxz,...jz->...x", loop.powers(H + 1), lags[..., : H + 1, :])
+    L = np.einsum("jxu,...jkz->...xkuz", loop.powers_times_b(H + 1), _lag_table(lags, H))
+    D = np.einsum("vu,...kz->...vkuz", np.eye(d_u), lags[..., :H, :])
+    return y0, L.reshape(batch + (d_x, P)), D.reshape(batch + (d_u, P))
+
+
 def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
     """Analytic gradient of the unary truncated loss with respect to ``M``.
 
-    The truncated state and action are affine in the parameters, so the chain
-    rule needs only the cost gradients at (y, v).
+    With y = y0 + L m and v = -K y + D m (:func:`unary_truncated_map`) the
+    chain rule gives L^T (g_y - K^T g_v) + D^T g_v from the cost gradients
+    at (y, v).
     """
     M = np.asarray(M, dtype=float)
-    lags = np.asarray(lags, dtype=float)
-    H = M.shape[0]
-    # the point (y, v) of the unary truncated loss; its value is not needed
-    y = truncated_state(loop, np.broadcast_to(M, (H + 1,) + M.shape), lags)
-    v = truncated_action(loop, y, M, lags)
+    y0, L, D = unary_truncated_map(loop, lags, M.shape[0])
+    y = y0 + L @ M.ravel()
+    v = D @ M.ravel() - loop.K @ y
     g_y = np.asarray(cost.grad_x(y, v), dtype=float)
     g_v = np.asarray(cost.grad_u(y, v), dtype=float)
-    q = g_y - loop.K.T @ g_v
-    powers_b = loop.powers_times_b(H + 1)
-    r = np.einsum("jxu,x->ju", powers_b, q)                       # (A_K^j B)^T q
-    grad = np.einsum("ju,jkx->kux", r, _lag_table(lags, H))
-    grad += np.einsum("u,kx->kux", g_v, lags[:H])
-    return grad
+    return (L.T @ (g_y - loop.K.T @ g_v) + D.T @ g_v).reshape(M.shape)
 
 
 @dataclass(frozen=True)

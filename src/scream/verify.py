@@ -131,7 +131,7 @@ def check_transfer_equivalence(rng, systems: int = 5):
 
 
 def check_gradient_fd(rng, cases: int = 5):
-    """Central differences on every entry of M; instance ``trial`` draws its system from seed 200 + trial."""
+    """Gradients against central differences of the window-form loss; trial i uses seed 200 + i."""
     H, step = 3, 1e-5
     worst = 0.0
     for trial in range(cases):

@@ -96,14 +96,15 @@ def test_oco_bench_config_file(tmp_path):
 def test_control_bench_subcommand(tmp_path):
     out = tmp_path / "ctrl"
     cfg = tmp_path / "ctrl.cfg"
-    cfg.write_text("T = 120\nH = 2\nsegment_length = 40\nseeds = 0\n", encoding="utf-8")
+    cfg.write_text("T = 120\nH = 2\nsegment_length = 40\nseeds = 0, 1\n", encoding="utf-8")
     code = main(["control-bench", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     rows = parse_csv(out / "control_results.csv")
     assert rows[0]["scenario"] == "tracking-3x2"
     metadata = json.loads((out / "control_metadata.json").read_text(encoding="utf-8"))
-    assert metadata["H"] == 2
-    assert metadata["lam_theoretical"] > 0
+    assert sorted(metadata) == ["0", "1"]  # one entry per seed
+    assert metadata["0"]["H"] == metadata["1"]["H"] == 2
+    assert metadata["0"]["lam_theoretical"] > 0
 
 
 def test_sysid_bench_subcommand(tmp_path, capsys):
@@ -161,6 +162,23 @@ def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["oco-bench", "control-bench", "sysid-bench"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_empty_output_directory_is_one_error_line_with_exit_two(tmp_path, capsys, monkeypatch,
+                                                                command, source):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("outdir =\n" if source == "file" else "", encoding="utf-8")
+    argv = [command, "--config", str(cfg)] + (["--out", ""] if source == "flag" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0] == "scream: error: outdir must name a directory, got an empty path"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
 def test_uncertifiable_system_is_a_failure_row_with_exit_two(tmp_path, capsys):
     # spin-3x2 certifies at seed 0 but not at seed 1: kappa^2 (1-gamma)^(H+1) >= 1
     cfg = tmp_path / "spin.cfg"
@@ -171,6 +189,8 @@ def test_uncertifiable_system_is_a_failure_row_with_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert [row["seed"] for row in parse_csv(out / "control_results.csv")] == ["0"]
+    metadata = json.loads((out / "control_metadata.json").read_text(encoding="utf-8"))
+    assert list(metadata) == ["0"]  # successful seeds only
     lines = (out / "failures.txt").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("('tracking-3x2', 1): ContractViolation: kappa^2 (1-gamma)^(H+1)")

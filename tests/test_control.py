@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scream.bench import ControlScenario, gen_control_scenario
+from scream import dac
+from scream.bench import ControlScenario, gen_control_scenario, scaling_scenario
 from scream.control import (ControlConfig, ScreamControl, best_fixed_dac_per_segment,
                             control_pool, dynamic_policy_regret_control, run_scream_control,
                             segment_boundaries)
@@ -232,6 +233,68 @@ class TestControlRegret:
         # piecewise constant within segments
         for lo, hi in boundaries:
             assert np.all(comp[lo:hi] == comp[lo])
+
+
+def per_round_comparators(loop, costs, w, boundaries, feasible, iters=300):
+    """Reference: each segment's quadratic assembled one round at a time, lags read off ``w``."""
+    H, (d_x, d_u), K = feasible.H, (loop.system.d_x, loop.system.d_u), loop.K
+    P = H * d_u * d_x
+    powers, powers_b = loop.powers(H + 1), loop.powers_times_b(H + 1)
+    padded = np.concatenate([np.zeros((2 * H + 1, d_x)), w])
+    out = np.empty((w.shape[0], H, d_u, d_x))
+    for lo, hi in boundaries:
+        quad, lin = np.zeros((P, P)), np.zeros(P)
+        for t in range(lo, hi):
+            lags = padded[2 * H + t - np.arange(2 * H + 1)]     # lags[i] = w[t - 1 - i]
+            y0 = sum(powers[j] @ lags[j] for j in range(H + 1))
+            L = np.zeros((d_x, H, d_u, d_x))
+            D = np.zeros((d_u, H, d_u, d_x))
+            for k in range(H):
+                for j in range(H + 1):
+                    L[:, k] += np.einsum("xu,z->xuz", powers_b[j], lags[1 + j + k])
+                D[:, k] = np.einsum("vu,z->vuz", np.eye(d_u), lags[k])
+            L, D = L.reshape(d_x, P), D.reshape(d_u, P)
+            R = -K @ L + D
+            rho = costs[t].control_weight
+            quad += L.T @ L + rho * (R.T @ R)
+            lin += L.T @ (y0 - costs[t].target) + rho * (R.T @ (-K @ y0))
+        step = 1.0 / max(2.0 * float(np.linalg.eigvalsh(quad).max()), 1e-12)
+        theta = np.zeros(P)
+        for _ in range(iters):
+            theta = feasible.project(
+                (theta - step * 2.0 * (quad @ theta + lin)).reshape(H, d_u, d_x)).reshape(P)
+        out[lo:hi] = theta.reshape(H, d_u, d_x)
+    return out
+
+
+@pytest.mark.parametrize("scenario", [ControlScenario(T=130, segment_length=50),
+                                      scaling_scenario(103)],
+                         ids=["tracking-3x2", "scaling-3x1"])
+def test_comparators_match_per_round_assembly(scenario):
+    # both scenarios end on a short segment: (100, 130) and (100, 103)
+    loop, feasible, _, costs, w = gen_control_scenario(scenario, seed=0)
+    boundaries = scenario.segments()
+    assert boundaries[-1][1] - boundaries[-1][0] < boundaries[0][1] - boundaries[0][0]
+    comp = best_fixed_dac_per_segment(loop, costs, w, boundaries, feasible)
+    ref = per_round_comparators(loop, costs, w, boundaries, feasible)
+    assert np.abs(ref).max() > 0
+    assert np.max(np.abs(comp - ref)) <= 1e-10 * np.abs(ref).max()
+
+
+def test_one_lag_table_per_learning_round(monkeypatch):
+    scenario = ControlScenario(T=60, H=3, segment_length=20)
+    loop, feasible, config, costs, w = gen_control_scenario(scenario, seed=0)
+    calls = []
+    lag_table_of_round = dac._lag_table
+
+    def counted(lags, H):
+        calls.append(lags.shape)
+        return lag_table_of_round(lags, H)
+
+    monkeypatch.setattr(dac, "_lag_table", counted)
+    run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+    assert run.controller.grad_evals == 60 - 3
+    assert calls == [(7, 3)] * (60 - 3)
 
 
 def test_segment_boundaries_cover_horizon():

@@ -5,7 +5,7 @@ from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_a
                         lag_table, lipschitz_constants, simulate_dac,
                         state_action_bound, state_via_transfer, tracking_grad_coeff,
                         transfer_matrix, truncated_loss, truncated_state,
-                        unary_truncated_eval, unary_truncated_gradient)
+                        unary_truncated_eval, unary_truncated_gradient, unary_truncated_map)
 from scream.lds import LinearSystem, preset, random_stable_system
 from scream.oco import ContractViolation
 
@@ -330,6 +330,44 @@ class TestUnaryGradient:
         lags = rng.uniform(-0.3, 0.3, (5, 3))
         unary_truncated_gradient(cost, loop, M, lags)
         assert (cost.value_calls, cost.grad_calls) == (0, 1)
+
+
+class TestUnaryTruncatedMap:
+    @staticmethod
+    def loop_with_feedback(rng, d_u):
+        """A certified loop whose K is not zero, so the -K y term of the action is exercised."""
+        system = random_stable_system(3, d_u, 0.6, seed=20 + d_u)
+        return ClosedLoop(system, 0.1 * rng.standard_normal((d_u, 3)))
+
+    @pytest.mark.parametrize("d_u, H", [(2, 3), (1, 4), (2, 1)])
+    def test_matches_window_form(self, rng, d_u, H):
+        loop = self.loop_with_feedback(rng, d_u)
+        feasible = feasible_for(loop, H)
+        for _ in range(10):
+            M = feasible.random_point(rng)
+            lags = rng.uniform(-0.5, 0.5, (2 * H + 1, 3))
+            y0, L, D = unary_truncated_map(loop, lags, H)
+            assert (y0.shape, L.shape, D.shape) == ((3,), (3, M.size), (d_u, M.size))
+            y = y0 + L @ M.ravel()
+            v = -loop.K @ y + D @ M.ravel()
+            y_ref = truncated_state(loop, np.broadcast_to(M, (H + 1,) + M.shape), lags)
+            v_ref = dac_action(loop.K, M, y_ref, lags)
+            np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
+            np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12 * np.abs(v_ref).max())
+
+    @pytest.mark.parametrize("d_u, H", [(2, 3), (1, 4)])
+    def test_stack_of_rounds_equals_per_round_calls(self, rng, d_u, H):
+        loop = self.loop_with_feedback(rng, d_u)
+        lags = rng.uniform(-0.5, 0.5, (2, 5, 2 * H + 1, 3))
+        stacked = unary_truncated_map(loop, lags, H)
+        for idx in np.ndindex(2, 5):
+            for got, want in zip(stacked, unary_truncated_map(loop, lags[idx], H)):
+                np.testing.assert_allclose(got[idx], want, rtol=1e-14, atol=1e-15)
+
+    def test_too_few_lags_rejected(self, rng):
+        loop = make_loop(seed=21)
+        with pytest.raises(ContractViolation):
+            unary_truncated_map(loop, np.zeros((4, 6, 3)), 3)
 
 
 class TestProjection:
