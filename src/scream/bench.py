@@ -17,13 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import learners  # run_online by attribute: a wrapper set on the module sees every cell
 from .control import (ControlConfig, best_fixed_dac_per_segment, control_trajectory_rows,
                       dynamic_policy_regret_control, run_scream_control, segment_boundaries)
 from .csvio import emit_csv
 from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lipschitz_constants,
                   state_action_bound, tracking_grad_coeff)
 from .lds import preset, preset_names
-from .learners import ScreamConfig, run_ader, run_ogd_memory, run_scream, trajectory_rows
+from .learners import (Ader, OgdMemory, Scream, ScreamConfig, ogd_default_step_size,
+                       trajectory_rows)
 from .oco import ContractViolation, DomainBall, SquareLossStream
 from .sysid import IdentificationConfig, identify_system
 
@@ -35,6 +37,24 @@ SUMMARY_COLUMNS = ("scenario", "algorithm", "alpha", "n_seeds",
                    "switching_mean", "switching_std", "dynamic_regret_mean", "dynamic_regret_std")
 
 ALGORITHMS = ("ogd", "ader", "scream")
+
+
+def oco_learner(config: ExperimentConfig, algorithm: str, lam: float):
+    """The learner of one benchmark algorithm, each tuned from ScreamConfig(T, G, D, lam).
+
+    Only ``scream`` reads ``lam``; ``ader`` and ``ogd`` ignore the movement
+    weight, which enters only their report.
+    """
+    tuned = ScreamConfig(T=config.T, grad_bound=config.grad_bound, diameter=config.diameter,
+                         lam=lam)
+    domain = DomainBall(config.d, config.diameter)
+    if algorithm == "scream":
+        return Scream(tuned, domain)
+    if algorithm == "ader":
+        return Ader(tuned, domain)
+    if algorithm == "ogd":
+        return OgdMemory(ogd_default_step_size(tuned.T, tuned.diameter, tuned.grad_bound), domain)
+    raise ContractViolation(f"unknown algorithm {algorithm!r}")
 
 
 def worker_count() -> int:
@@ -82,6 +102,10 @@ class ExperimentConfig:
                 raise ContractViolation(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
         if self.T < 1 or self.d < 1 or self.segment_length < 1:
             raise ContractViolation("T, d and segment_length must be positive")
+        for key in ("feature_radius", "diameter"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{key} must be finite and positive, got {value}")
         if not all(math.isfinite(alpha) and alpha >= 0 for alpha in self.alphas):
             raise ContractViolation(f"alphas must be finite and non-negative, got {self.alphas}")
         if not (math.isfinite(self.noise_low) and math.isfinite(self.noise_high)
@@ -171,22 +195,6 @@ class ResultRow:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
-def _oco_learner_run(config: ExperimentConfig, algorithm: str, lam: float, losses, comparators,
-                     record_weights: bool):
-    domain = DomainBall(config.d, config.diameter)
-    base = ScreamConfig(T=config.T, grad_bound=config.grad_bound, diameter=config.diameter,
-                        memory=0, lam=lam if algorithm == "scream" else 0.0)
-    if algorithm == "scream":
-        return run_scream(base, losses, domain, comparators=comparators, report_lam=lam,
-                          record_weights=record_weights)
-    if algorithm == "ader":
-        return run_ader(base, losses, domain, comparators=comparators, report_lam=lam,
-                        record_weights=record_weights)
-    if algorithm == "ogd":
-        return run_ogd_memory(base, losses, domain, comparators=comparators, report_lam=lam)
-    raise ContractViolation(f"unknown algorithm {algorithm!r}")
-
-
 def check_movement_bounds(learner, grad_bound: float, T: int) -> None:
     """Per-run movement guarantees: meta l1 steps and cumulative gradient-descent movement."""
     slack = getattr(learner, "meta_movement_slack", None)
@@ -204,15 +212,14 @@ def check_movement_bounds(learner, grad_bound: float, T: int) -> None:
             raise AssertionError("an expert's switching cost exceeds its eta_i*G*T cap")
 
 
-def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int,
-             record_weights: bool = False):
+def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
     """One experiment cell; returns (ResultRow, per-round rows or None)."""
     stream = gen_piecewise_regression(config, seed)
     losses = stream.losses()
     lam = alpha * config.grad_bound
     start = time.perf_counter()
-    run, report = _oco_learner_run(config, algorithm, lam, losses, stream.comparators,
-                                   record_weights)
+    run = learners.run_online(oco_learner(config, algorithm, lam), losses)
+    report = run.report(stream.comparators, lam)
     wall_ms = (time.perf_counter() - start) * 1000.0
     check_movement_bounds(run.learner, config.grad_bound, config.T)
     row = ResultRow(
@@ -227,7 +234,7 @@ def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int,
         path_length=report.path_length,
         wall_time_ms=wall_ms,
     )
-    per_round = trajectory_rows(run, include_weights=record_weights) if config.per_round else None
+    per_round = trajectory_rows(run) if config.per_round else None
     return row, per_round
 
 
@@ -346,6 +353,10 @@ class ControlScenario:
     def __post_init__(self):
         if self.T < 1 or self.H < 1 or self.segment_length < 1:
             raise ContractViolation("T, H and segment_length must be at least 1")
+        for key in ("target_radius", "control_weight", "disturbance_amplitude", "lam_multiplier"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractViolation(f"{key} must be finite and non-negative, got {value}")
         if not self.seeds:
             raise ContractViolation("need at least one seed")
 
@@ -397,13 +408,11 @@ def gen_control_scenario(scenario: ControlScenario, seed: int):
     return loop, feasible, config, costs, disturbances
 
 
-def run_control_cell(scenario: ControlScenario, seed: int,
-                     record_weights: bool = False) -> tuple[ResultRow, dict]:
+def run_control_cell(scenario: ControlScenario, seed: int) -> tuple[ResultRow, dict]:
     """One control cell: run the controller and report regret against per-segment comparators."""
     loop, feasible, config, costs, disturbances = gen_control_scenario(scenario, seed)
     start = time.perf_counter()
-    run = run_scream_control(loop, loop.system, disturbances, costs, config, feasible=feasible,
-                             record_weights=record_weights)
+    run = run_scream_control(loop, loop.system, disturbances, costs, config, feasible=feasible)
     wall_ms = (time.perf_counter() - start) * 1000.0
     check_movement_bounds(run.controller, config.constants.grad_bound, run.controller.rounds)
     comparators = best_fixed_dac_per_segment(loop, costs, disturbances, scenario.segments(), feasible)
@@ -434,7 +443,7 @@ def run_control_benchmark(scenario: ControlScenario) -> BenchmarkResult:
     metadata = {}  # per successful seed: each seed draws its own system and constants
     for seed in scenario.seeds:
         try:
-            row, metadata[seed] = run_control_cell(scenario, seed, record_weights=scenario.per_round)
+            row, metadata[seed] = run_control_cell(scenario, seed)
             rows.append(row)
         except Exception as exc:
             failures.append(((scenario.name, seed), f"{type(exc).__name__}: {exc}"))

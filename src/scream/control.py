@@ -91,13 +91,11 @@ class ScreamControl(MetaExpertLearner):
     actions reduce to u = -K x.  :func:`run_scream_control` plays the rounds.
     """
 
-    def __init__(self, loop: ClosedLoop, feasible: DacFeasibleSet, config: ControlConfig,
-                 record_weights: bool = False):
+    def __init__(self, loop: ClosedLoop, feasible: DacFeasibleSet, config: ControlConfig):
         if feasible.H != config.H:
             raise ContractViolation("feasible set and configuration disagree on H")
         super().__init__(config.pool, nonuniform_prior(config.pool.n), config.meta_rate,
-                         config.lam, feasible.zeros().shape, self._project,
-                         record_weights=record_weights)
+                         config.lam, feasible.zeros().shape, self._project)
         self.loop = loop
         self.feasible = feasible
         self.config = config
@@ -120,6 +118,7 @@ class ControlRun:
     believed_disturbances: np.ndarray  # what the controller recovered
     cost_values: np.ndarray            # (T,)
     params: np.ndarray                 # (T, H, d_u, d_x) aggregated parameter per round
+    weights: np.ndarray                # (T, n) meta weights that aggregated it
     costs: list
     controller: ScreamControl
 
@@ -134,15 +133,10 @@ class ControlRun:
 
 def control_trajectory_rows(run: ControlRun) -> list[dict]:
     """Per-round rows (t, cost, state/action norms, parameter norm, meta entropy, disturbance norm)."""
-    weights = getattr(run.controller, "weight_history", None)
     rows = []
-    for t in range(run.T):
-        if weights and t < len(weights):
-            p = weights[t]
-            positive = p[p > 0]
-            entropy = float(-np.sum(positive * np.log(positive)))
-        else:
-            entropy = float("nan")
+    for t, p in enumerate(run.weights):
+        positive = p[p > 0]
+        entropy = float(-np.sum(positive * np.log(positive)))
         rows.append({
             "t": t + 1,
             "cost": float(run.cost_values[t]),
@@ -157,7 +151,7 @@ def control_trajectory_rows(run: ControlRun) -> list[dict]:
 
 def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, costs,
                        config: ControlConfig, feasible: DacFeasibleSet | None = None,
-                       x0=None, record_weights: bool = False) -> ControlRun:
+                       x0=None) -> ControlRun:
     """Drive the controller on ``plant`` while it reasons with ``loop`` (its believed system).
 
     With a perfectly known system the two coincide; a pipeline running on an
@@ -177,26 +171,26 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
     if feasible is None:
         feasible = DacFeasibleSet.from_certificate(loop.kappa, loop.gamma, loop.system.kappa_B,
                                                    config.H, loop.system.d_u, loop.system.d_x)
-    controller = ScreamControl(loop, feasible, config, record_weights=record_weights)
+    controller = ScreamControl(loop, feasible, config)
     d_x, d_u, H = plant.d_x, plant.d_u, config.H
     states = np.empty((T + 1, d_x))
     actions = np.empty((T, d_u))
     history = np.zeros((T + 2 * H + 1, d_x))
     values = np.empty(T)
     params = np.empty((T, H, d_u, d_x))
+    weights = np.empty((T, controller.n_experts))
     states[0] = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
     for t in range(T):
         M = params[t] = controller.decide()
+        weights[t] = controller.weights
         lags = history[T - t: T - t + 2 * H + 1]
         u = actions[t] = dac_action(loop.K, M, states[t], lags)
         values[t] = costs[t].value(states[t], u)
         if t >= H:
             controller.step(unary_truncated_gradient(costs[t], loop, M, lags))
-        elif controller.weight_history is not None:
-            controller.weight_history.append(controller.weights.copy())
         states[t + 1] = step_dynamics(plant, states[t], u, disturbances[t])
         history[T - 1 - t] = recover_disturbance(loop.system, states[t + 1], states[t], u)
-    return ControlRun(states, actions, disturbances, history[:T][::-1], values, params,
+    return ControlRun(states, actions, disturbances, history[:T][::-1], values, params, weights,
                       list(costs), controller)
 
 

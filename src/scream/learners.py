@@ -156,7 +156,7 @@ class MetaExpertLearner:
 
     def __init__(self, pool: StepSizePool, prior: np.ndarray, meta_rate: float,
                  surrogate_lam: float, shape: tuple[int, ...],
-                 project: Callable[[np.ndarray], np.ndarray], record_weights: bool = False):
+                 project: Callable[[np.ndarray], np.ndarray]):
         prior = np.asarray(prior, dtype=float)
         if prior.shape != (pool.n,):
             raise ContractViolation("prior length must match the pool size")
@@ -173,8 +173,6 @@ class MetaExpertLearner:
         # diagnostics for the movement-bound checks
         self.meta_movement_slack = -math.inf
         self.expert_switching = np.zeros(pool.n)
-        self.weight_history: list[np.ndarray] = [] if record_weights else None
-        self.surrogate_history: list[np.ndarray] = [] if record_weights else None
 
     @property
     def n_experts(self) -> int:
@@ -198,9 +196,6 @@ class MetaExpertLearner:
         self.grad_evals += 1
 
         ell = surrogate_losses(self.flat, self.prev_flat, g, self.surrogate_lam)
-        if self.weight_history is not None:
-            self.weight_history.append(self.weights.copy())
-            self.surrogate_history.append(ell.copy())
         new_weights = hedge_step(self.weights, ell, self.meta_rate)
         moved = float(np.abs(new_weights - self.weights).sum())
         self.meta_movement_slack = max(self.meta_movement_slack,
@@ -221,21 +216,20 @@ class MetaExpertLearner:
 class Scream(MetaExpertLearner):
     """Switching-cost-regularized meta-expert aggregation."""
 
-    def __init__(self, config: ScreamConfig, domain: DomainBall, record_weights: bool = False):
+    def __init__(self, config: ScreamConfig, domain: DomainBall):
         super().__init__(config.pool, nonuniform_prior(config.pool.n), config.meta_rate,
-                         config.lam, (domain.dim,), domain.project_rows,
-                         record_weights=record_weights)
+                         config.lam, (domain.dim,), domain.project_rows)
         self.config = config
 
 
 class Ader(MetaExpertLearner):
     """Movement-agnostic contender: uniform prior, plain linearized meta losses."""
 
-    def __init__(self, config: ScreamConfig, domain: DomainBall, record_weights: bool = False):
+    def __init__(self, config: ScreamConfig, domain: DomainBall):
         pool = build_step_size_pool(config.T, config.diameter, config.grad_bound, 0.0)
         rate = ader_meta_rate(config.T, config.diameter, config.grad_bound, pool.n)
         super().__init__(pool, np.full(pool.n, 1.0 / pool.n), rate, 0.0, (domain.dim,),
-                         domain.project_rows, record_weights=record_weights)
+                         domain.project_rows)
         self.config = config
 
 
@@ -298,48 +292,17 @@ def run_online(learner, losses: SquareLossStream) -> OcoRun:
     return OcoRun(arr, losses, losses.window_losses(arr), learner)
 
 
-def run_scream(config: ScreamConfig, losses, domain: DomainBall,
-               comparators=None, report_lam: float | None = None,
-               record_weights: bool = False):
-    run = run_online(Scream(config, domain, record_weights=record_weights), losses)
-    lam = config.lam if report_lam is None else report_lam
-    report = run.report(comparators, lam) if comparators is not None else None
-    return run, report
-
-
-def run_ader(config: ScreamConfig, losses, domain: DomainBall,
-             comparators=None, report_lam: float = 0.0, record_weights: bool = False):
-    run = run_online(Ader(config, domain, record_weights=record_weights), losses)
-    report = run.report(comparators, report_lam) if comparators is not None else None
-    return run, report
-
-
-def run_ogd_memory(config: ScreamConfig, losses, domain: DomainBall, step_size: float | None = None,
-                   comparators=None, report_lam: float = 0.0):
-    eta = step_size if step_size is not None else ogd_default_step_size(
-        config.T, config.diameter, config.grad_bound, config.memory, config.lipschitz)
-    run = run_online(OgdMemory(eta, domain), losses)
-    report = run.report(comparators, report_lam) if comparators is not None else None
-    return run, report
-
-
-def trajectory_rows(run: OcoRun, include_weights: bool = False):
-    """Per-round rows (t, decision norm, loss, instantaneous movement[, weights...])."""
-    learner = run.learner
-    weights = getattr(learner, "weight_history", None) if include_weights else None
+def trajectory_rows(run: OcoRun):
+    """Per-round rows (t, decision norm, loss, instantaneous movement)."""
     rows = []
     prev = run.decisions[0]
     for t in range(run.T):
         w = run.decisions[t]
-        row = {
+        rows.append({
             "t": t + 1,
             "decision_norm": float(np.linalg.norm(w)),
             "loss": float(run.incurred[t]),
             "movement": float(np.linalg.norm(w - prev)),
-        }
-        if weights is not None:
-            for i, p in enumerate(weights[t]):
-                row[f"p{i + 1}"] = float(p)
-        rows.append(row)
+        })
         prev = w
     return rows

@@ -80,35 +80,16 @@ class DomainBall:
 
 
 class SquareLoss:
-    """One round's square loss f(w) = (w.x - y)^2 / 2; with memory ``m``, its window mean.
+    """One round's square loss f(w) = (w.x - y)^2 / 2, revealed as a gradient oracle.
 
-    The window form applies to the last ``m + 1`` decisions.  The unary form
-    is the window form on a repeated decision, so it equals the memoryless
-    square loss; ``grad`` is its analytic gradient and counts its calls.
+    ``grad`` is its analytic gradient and counts its calls.  Loss values are
+    evaluated on whole runs by :meth:`SquareLossStream.window_losses`.
     """
 
-    def __init__(self, x, y: float, m: int = 0):
-        if m < 0:
-            raise ContractViolation("memory length must be non-negative")
-        self.m = int(m)
+    def __init__(self, x, y: float):
         self.x = np.asarray(x, dtype=float)
         self.y = float(y)
         self.grad_calls = 0
-
-    def _one(self, w) -> float:
-        return 0.5 * (float(np.dot(w, self.x)) - self.y) ** 2
-
-    def window(self, decisions: Sequence[np.ndarray]) -> float:
-        if len(decisions) != self.m + 1:
-            raise ContractViolation(
-                f"window must hold exactly {self.m + 1} decisions, got {len(decisions)}"
-            )
-        if self.m == 0:
-            return self._one(decisions[0])
-        return sum(self._one(w) for w in decisions) / len(decisions)
-
-    def unary(self, w) -> float:
-        return self.window([w] * (self.m + 1))
 
     def grad(self, w) -> np.ndarray:
         self.grad_calls += 1
@@ -122,9 +103,11 @@ class SquareLossStream(Sequence):
     """The square losses of a whole stream, held as arrays: row t of ``X`` and ``y`` is round t.
 
     A sized sequence of round oracles: ``stream[t]`` is ``SquareLoss(X[t],
-    y[t], m)``.  It is built on first access and then kept, so each round's
-    ``grad_calls`` survives the run.  :meth:`window_losses` evaluates every
-    round's window loss at once.
+    y[t])``, the gradient oracle of round t's unary loss (with memory ``m``,
+    the window mean on a repeated decision is the same square loss).  It is
+    built on first access and then kept, so each round's ``grad_calls``
+    survives the run.  :meth:`window_losses` evaluates every round's window
+    loss at once.
     """
 
     def __init__(self, X, y, m: int = 0):
@@ -146,7 +129,7 @@ class SquareLossStream(Sequence):
     def __getitem__(self, t: int) -> SquareLoss:
         oracle = self._oracles[t]
         if oracle is None:
-            oracle = self._oracles[t] = SquareLoss(self.X[t], self.y[t], self.m)
+            oracle = self._oracles[t] = SquareLoss(self.X[t], self.y[t])
         return oracle
 
     def window_losses(self, decisions) -> np.ndarray:

@@ -149,8 +149,7 @@ class PipelineRun:
 def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig,
                          control_config: ControlConfig, costs, disturbances,
                          seed: int = 0, feasible: DacFeasibleSet | None = None,
-                         inject_system: LinearSystem | None = None,
-                         record_weights: bool = False) -> PipelineRun:
+                         inject_system: LinearSystem | None = None) -> PipelineRun:
     """Explore for T0 rounds (costs counted), then control against the estimated dynamics.
 
     The committed phase believes the estimate (including disturbance recovery,
@@ -175,7 +174,6 @@ def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig
     believed = ClosedLoop(believed_system, K, certificate)
     phase2 = run_scream_control(believed, plant, disturbances[T0:], costs[T0:],
                                 control_config, feasible=feasible,
-                                x0=identified.exploration.states[-1],
-                                record_weights=record_weights)
+                                x0=identified.exploration.states[-1])
     return PipelineRun(identified, moments,
                        float(np.sum(identified.exploration.costs)), phase2)

@@ -37,16 +37,26 @@ def check_simplex_preservation(rng, cases: int = 1000):
 
 
 def check_ball_projection(rng, cases: int = 1000):
+    """``project`` and, on the raw point and its projection as rows, ``project_rows``."""
     for _ in range(cases):
         d = int(rng.integers(1, 8))
         ball = DomainBall(d, float(rng.uniform(0.5, 4)))
-        once = ball.project(rng.standard_normal(d) * 5)
+        raw = rng.standard_normal(d) * 5
+        once = ball.project(raw)
         if not ball.contains(once):
             return False, "projection left the ball"
         twice = ball.project(once)
         if np.linalg.norm(twice - once) > 1e-12 or not np.allclose(twice, once, atol=1e-14):
             return False, "projection is not idempotent"
-    return True, f"{cases} ball projections feasible and idempotent"
+        rows = ball.project_rows(np.stack([raw, once]))
+        if not all(ball.contains(row) for row in rows):
+            return False, "row projection left the ball"
+        if not np.allclose(ball.project_rows(rows), rows, rtol=0, atol=1e-14):
+            return False, "row projection is not idempotent"
+        if not np.allclose(rows, [once, twice], rtol=0, atol=1e-14):
+            return False, "row projection differs from the single-point projection"
+    return True, (f"{cases} ball projections feasible and idempotent, by point and by rows "
+                  "(rows equal to points within 1e-14)")
 
 
 def check_dac_projection(rng, cases: int = 60, samples: int = 200, sample_every: int = 1):

@@ -12,6 +12,7 @@ from scream.bench import ExperimentConfig, run_benchmark, run_cell, scaling_scen
 from scream.control import ControlConfig, run_scream_control
 from scream.dac import ClosedLoop, QuadraticTrackingCost, lipschitz_constants
 from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
+from scream.learners import run_online
 from scream.sysid import IdentificationConfig, identify_system, run_unknown_pipeline
 from scream.verify import (check_ball_projection, check_dac_projection, check_gradient_fd,
                            check_one_gradient, check_prior, check_simplex_preservation,
@@ -89,8 +90,7 @@ def test_criterion_5_movement_bounds(benchmark_result):
         lam = alpha * config.grad_bound
         stream = bench.gen_piecewise_regression(config, 0)
         for algorithm in bench.ALGORITHMS:
-            run, _ = bench._oco_learner_run(config, algorithm, lam, stream.losses(),
-                                            stream.comparators, False)
+            run = run_online(bench.oco_learner(config, algorithm, lam), stream.losses())
             bench.check_movement_bounds(run.learner, config.grad_bound, config.T)
     print("\nPASS criterion 5: movement bounds held on every benchmark run")
 

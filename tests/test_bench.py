@@ -42,7 +42,7 @@ class TestPiecewiseRegression:
         config = tiny_config(tmp_path, T=120, segment_length=120, noise_high=0.0)
         stream = gen_piecewise_regression(config, seed=5)
         best = stream.truths[0]
-        total = sum(loss.unary(best) for loss in stream.losses())
+        total = sum(0.5 * (best @ loss.x - loss.y) ** 2 for loss in stream.losses())
         assert total == pytest.approx(0.0, abs=1e-18)
 
     def test_gradient_bound_all_rounds(self, tmp_path):
@@ -79,7 +79,7 @@ class TestRunCell:
 
     def test_per_round_rows(self, tmp_path):
         config = tiny_config(tmp_path, per_round=True)
-        row, rounds = run_cell(config, "ogd", 0.5, seed=0, record_weights=False)
+        row, rounds = run_cell(config, "ogd", 0.5, seed=0)
         assert len(rounds) == config.T
         assert rounds[0]["t"] == 1
         movement = sum(r["movement"] for r in rounds)
@@ -116,6 +116,27 @@ class TestRunBenchmark:
         assert entry["overall_mean"] == pytest.approx(values.mean(), rel=1e-12)
         assert entry["overall_std"] == pytest.approx(values.std(), rel=1e-12)
         assert entry["n_seeds"] == 2
+
+    def test_cell_reaches_the_learner_layer_by_module_attribute(self, tmp_path, monkeypatch):
+        # wrappers set on scream.learners (as a tracer sets them) see each cell's one run and report
+        from scream import learners
+        calls = []
+
+        def counting(name):
+            original = getattr(learners, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("run_online", "regret_metrics"):
+            monkeypatch.setattr(learners, name, counting(name))
+        config = tiny_config(tmp_path, T=60)
+        for algorithm in ALGORITHMS:
+            calls.clear()
+            run_cell(config, algorithm, 0.5, seed=0)
+            assert calls == ["run_online", "regret_metrics"], algorithm
 
     def test_movement_bounds_checked_in_cells(self, tmp_path):
         # the movement diagnostics are asserted on every cell run
@@ -316,10 +337,10 @@ def test_cell_failures_recorded_and_run_continues(tmp_path, monkeypatch):
     import scream.bench as bench_mod
     original = bench_mod.run_cell
 
-    def flaky(config, algorithm, alpha, seed, record_weights=False):
+    def flaky(config, algorithm, alpha, seed):
         if algorithm == "ader" and seed == 1:
             raise RuntimeError("synthetic cell failure")
-        return original(config, algorithm, alpha, seed, record_weights)
+        return original(config, algorithm, alpha, seed)
 
     monkeypatch.setattr(bench_mod, "run_cell", flaky)
     config = tiny_config(tmp_path)
@@ -335,10 +356,10 @@ def test_cli_exit_code_two_on_partial_failure(tmp_path, monkeypatch):
     from scream.cli import main
     original = bench_mod.run_cell
 
-    def flaky(config, algorithm, alpha, seed, record_weights=False):
+    def flaky(config, algorithm, alpha, seed):
         if algorithm == "ogd":
             raise RuntimeError("synthetic")
-        return original(config, algorithm, alpha, seed, record_weights)
+        return original(config, algorithm, alpha, seed)
 
     monkeypatch.setattr(bench_mod, "run_cell", flaky)
     code = main(["oco-bench", "--T", "120", "--seed", "0", "--alpha", "0.5",

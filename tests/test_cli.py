@@ -7,7 +7,7 @@ import pytest
 
 from scream import verify
 from scream.cli import apply_updates, main, parse_config_file
-from scream.bench import ExperimentConfig
+from scream.bench import ControlScenario, ExperimentConfig
 
 from conftest import parse_csv
 
@@ -147,6 +147,12 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["control-bench"], "seeds =\n", "need at least one seed"),
     (["sysid-bench"], "seeds =\n", "need at least one seed"),
     (["sysid-bench", "--budgets", ""], "", "need at least one exploration budget"),
+    (["oco-bench"], "feature_radius = 0\n", "feature_radius must be finite and positive"),
+    (["oco-bench"], "feature_radius = -1\n", "feature_radius must be finite and positive"),
+    (["oco-bench"], "feature_radius = nan\n", "feature_radius must be finite and positive"),
+    (["oco-bench"], "diameter = 0\n", "diameter must be finite and positive"),
+    (["oco-bench"], "diameter = -1\n", "diameter must be finite and positive"),
+    (["oco-bench"], "diameter = nan\n", "diameter must be finite and positive"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):
@@ -160,6 +166,23 @@ def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, arg
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("scream: error: ") and message in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["control_weight", "target_radius", "disturbance_amplitude",
+                                 "lam_multiplier"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_control_scenario_value_is_one_error_line_with_exit_two(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"T = 30\nH = 2\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["control-bench", "--config", str(cfg), "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"scream: error: {key} must be finite and non-negative, got {float(value)}"]
+    assert not out.exists()
+    assert getattr(apply_updates(ControlScenario(), {key: "0"}), key) == 0.0  # zero stays valid
 
 
 @pytest.mark.parametrize("command", ["oco-bench", "control-bench", "sysid-bench"])

@@ -4,12 +4,12 @@ import pytest
 from scream import dac
 from scream.bench import ControlScenario, gen_control_scenario, scaling_scenario
 from scream.control import (ControlConfig, ScreamControl, best_fixed_dac_per_segment,
-                            control_pool, dynamic_policy_regret_control, run_scream_control,
-                            segment_boundaries)
+                            control_pool, control_trajectory_rows, dynamic_policy_regret_control,
+                            run_scream_control, segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lag_table, lipschitz_constants, simulate_dac)
 from scream.lds import DisturbanceGenerator, preset
-from scream.learners import build_step_size_pool, pool_size
+from scream.learners import build_step_size_pool, nonuniform_prior, pool_size
 from scream.oco import ContractViolation
 from scream.verify import check_simplex
 
@@ -136,6 +136,22 @@ class TestScreamControlRound:
         assert check_simplex(controller.weights, tol=1e-9)
         # parameters moved once learning started
         assert run.param_switching() > 0
+
+    def test_recorded_weights_are_those_of_each_decision(self, monkeypatch):
+        loop, feasible, config, costs, w = small_setup(T=40, H=2)
+        seen, decide = [], ScreamControl.decide
+
+        def recording_decide(controller):
+            seen.append(controller.weights.copy())
+            return decide(controller)
+
+        monkeypatch.setattr(ScreamControl, "decide", recording_decide)
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        assert run.weights.shape == (40, config.pool.n)
+        assert np.array_equal(run.weights, seen)
+        assert np.all(run.weights[:config.H + 1] == nonuniform_prior(config.pool.n))  # warm-up
+        entropies = [row["meta_entropy"] for row in control_trajectory_rows(run)]
+        assert entropies == pytest.approx([-np.sum(p * np.log(p)) for p in seen], rel=1e-12)
 
     def test_aggregation_residual_invariant(self):
         loop, feasible, config, costs, w = small_setup(T=40)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from scream.learners import (Ader, MetaExpertLearner, Scream, ScreamConfig, ader_meta_rate,
-                             build_step_size_pool, nonuniform_prior, ogd_default_step_size,
-                             pool_size, run_ader, run_ogd_memory, run_online, run_scream,
-                             scream_meta_rate, surrogate_losses)
+from scream.learners import (Ader, MetaExpertLearner, OgdMemory, Scream, ScreamConfig,
+                             ader_meta_rate, build_step_size_pool, nonuniform_prior,
+                             ogd_default_step_size, pool_size, run_online, scream_meta_rate,
+                             surrogate_losses, trajectory_rows)
 from scream.oco import ContractViolation, DomainBall, SquareLoss, SquareLossStream
 from scream.verify import check_simplex
 
@@ -95,20 +95,22 @@ class TestScream:
         single = ScreamConfig(T=T, grad_bound=1.0, diameter=2.0, lam=0.5,
                               pool=type(pool)((pool.etas[0],)))
         domain = DomainBall(d, 2.0)
-        run, _ = run_scream(single, SquareLossStream(xs, ys), domain)
-        ogd_run, _ = run_ogd_memory(single, SquareLossStream(xs, ys), domain,
-                                    step_size=pool.etas[0])
+        run = run_online(Scream(single, domain), SquareLossStream(xs, ys))
+        ogd_run = run_online(OgdMemory(pool.etas[0], domain), SquareLossStream(xs, ys))
         assert np.allclose(run.decisions, ogd_run.decisions, atol=1e-14)
 
     def test_zero_gradient_stream_freezes_everything(self):
         T = 8
         losses = SquareLossStream(np.zeros((T, 2)), np.zeros(T))
         config = ScreamConfig(T=T, grad_bound=1.0, diameter=2.0, lam=1.0)
-        learner = Scream(config, DomainBall(2, 2.0), record_weights=True)
-        run = run_online(learner, losses)
-        assert np.all(run.decisions == 0.0)
-        weights = np.asarray(learner.weight_history)
-        assert np.all(weights == weights[0])
+        learner = Scream(config, DomainBall(2, 2.0))
+        prior = learner.weights.copy()
+        for loss in losses:
+            decision = learner.decide()
+            assert np.all(decision == 0.0)
+            assert np.array_equal(learner.weights, prior)
+            learner.step(loss.grad(decision))
+        assert np.array_equal(learner.weights, prior)
 
     def test_two_round_hand_trace(self):
         # independent step-by-step recomputation with explicit scalar arithmetic
@@ -253,15 +255,13 @@ class TestOgdMemory:
         xs = rng.standard_normal((T, d))
         xs /= np.maximum(np.linalg.norm(xs, axis=1, keepdims=True), 1.0)
         ys = rng.uniform(-1, 1, T)
-        config = ScreamConfig(T=T, grad_bound=G, diameter=2.0)
-        run, _ = run_ogd_memory(config, SquareLossStream(xs, ys), DomainBall(d, 2.0))
         eta = ogd_default_step_size(T, 2.0, G)
+        run = run_online(OgdMemory(eta, DomainBall(d, 2.0)), SquareLossStream(xs, ys))
         assert run.learner.switching <= eta * G * T + 1e-9
 
     def test_zero_gradient_stream_constant(self):
         losses = SquareLossStream(np.zeros((10, 2)), np.zeros(10))
-        config = ScreamConfig(T=10, grad_bound=1.0, diameter=2.0)
-        run, _ = run_ogd_memory(config, losses, DomainBall(2, 2.0))
+        run = run_online(OgdMemory(ogd_default_step_size(10, 2.0, 1.0), DomainBall(2, 2.0)), losses)
         assert np.all(run.decisions == run.decisions[0])
 
     def test_monotone_approach_and_sublinear_regret(self):
@@ -269,9 +269,9 @@ class TestOgdMemory:
         regrets = {}
         for T in (1000, 4000, 16000):
             losses = SquareLossStream(np.ones((T, 1)), np.ones(T))
-            config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0)
-            run, report = run_ogd_memory(config, losses, DomainBall(1, 2.0),
-                                         comparators=np.ones((T, 1)))
+            run = run_online(OgdMemory(ogd_default_step_size(T, 2.0, 2.0), DomainBall(1, 2.0)),
+                             losses)
+            report = run.report(np.ones((T, 1)), 0.0)
             w = run.decisions[:, 0]
             assert np.all(np.diff(w) >= -1e-12)
             assert np.all(w <= 1.0 + 1e-12)
@@ -292,10 +292,14 @@ class TestMetaRegretBound:
         xs *= np.minimum(1.0, (G / 2) / np.linalg.norm(xs, axis=1))[:, None]
         ys = rng.uniform(-0.5, 0.5, T)
         config = ScreamConfig(T=T, grad_bound=G, diameter=D, lam=lam)
-        learner = Scream(config, DomainBall(d, D), record_weights=True)
-        run_online(learner, SquareLossStream(xs, ys))
-        weights = np.asarray(learner.weight_history)
-        ells = np.asarray(learner.surrogate_history)
+        learner = Scream(config, DomainBall(d, D))
+        weights, ells = [], []
+        for loss in SquareLossStream(xs, ys):
+            g = loss.grad(learner.decide())
+            weights.append(learner.weights.copy())
+            ells.append(surrogate_losses(learner.flat, learner.prev_flat, g, lam))
+            learner.step(g)
+        weights, ells = np.asarray(weights), np.asarray(ells)
         mixture = np.einsum("ti,ti->t", weights, ells).sum()
         best = ells.sum(axis=0).min()
         meta_moves = np.abs(np.diff(weights, axis=0)).sum()
@@ -319,7 +323,7 @@ class TestMetaRegretBound:
         decisions = np.asarray(decisions)
         expert_hist = np.asarray(expert_hist)  # (T, N, d)
 
-        unary = np.array([loss.unary(w) for loss, w in zip(losses, decisions)])
+        unary = np.array([0.5 * (w @ loss.x - loss.y) ** 2 for loss, w in zip(losses, decisions)])
         own_moves = np.linalg.norm(np.diff(decisions, axis=0), axis=1).sum()
         overall = unary.sum() + lam * own_moves
 
@@ -328,7 +332,7 @@ class TestMetaRegretBound:
         per_expert = []
         for i in range(n):
             traj = expert_hist[:, i, :]
-            unary_i = sum(loss.unary(w) for loss, w in zip(losses, traj))
+            unary_i = sum(0.5 * (w @ loss.x - loss.y) ** 2 for loss, w in zip(losses, traj))
             moves_i = np.linalg.norm(np.diff(traj, axis=0), axis=1).sum()
             per_expert.append(unary_i + lam * moves_i)
         assert overall <= min(per_expert) + bound + 1e-9
@@ -350,18 +354,14 @@ def test_default_lam_is_memory_squared_lipschitz():
     assert config.lam == pytest.approx(4.5, abs=0)
 
 
-def test_trajectory_rows_with_optional_weights(rng):
-    from scream.learners import trajectory_rows
+def test_trajectory_rows_columns(rng):
     T = 15
     losses = SquareLossStream(rng.standard_normal((T, 2)), rng.standard_normal(T))
     config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.5)
-    learner = Scream(config, DomainBall(2, 2.0), record_weights=True)
-    run = run_online(learner, losses)
-    rows = trajectory_rows(run, include_weights=True)
+    run = run_online(Scream(config, DomainBall(2, 2.0)), losses)
+    rows = trajectory_rows(run)
     assert len(rows) == T
-    n = learner.n_experts
-    weight_cols = [k for k in rows[0] if k.startswith("p")]
-    assert len(weight_cols) == n
-    assert sum(rows[0][c] for c in weight_cols) == pytest.approx(1.0, abs=1e-9)
-    plain = trajectory_rows(run, include_weights=False)
-    assert all(not k.startswith("p") for k in plain[0])
+    assert all(list(row) == ["t", "decision_norm", "loss", "movement"] for row in rows)
+    assert [row["loss"] for row in rows] == list(run.incurred)
+    assert sum(row["movement"] for row in rows) == pytest.approx(
+        float(np.linalg.norm(np.diff(run.decisions, axis=0), axis=1).sum()), rel=1e-12)

@@ -39,32 +39,8 @@ class TestDomainBall:
 class TestMemoryLoss:
     def test_square_loss_window_value(self):
         # f(w) = (w.x - y)^2 / 2 at w = 0, y = 1 gives 0.5
-        loss = SquareLoss(np.zeros(3), 1.0)
-        assert loss.window([np.zeros(3)]) == pytest.approx(0.5, abs=0)
-
-    def test_window_of_identical_decisions_equals_unary(self, rng):
-        # bit-exact unary consistency on a memory-2 oracle
-        x = rng.standard_normal(4)
-        loss = SquareLoss(x, 0.3, m=2)
-        for _ in range(50):
-            w = rng.standard_normal(4)
-            assert loss.window([w, w, w]) == loss.unary(w)
-
-    def test_wrong_window_length(self):
-        loss = SquareLoss(np.ones(2), 0.0, m=1)
-        with pytest.raises(ContractViolation):
-            loss.window([np.zeros(2)])
-
-    def test_unary_consistency_random_oracles(self, rng):
-        # window form evaluated on equal arguments agrees with the unary form
-        for _ in range(1000):
-            d = int(rng.integers(1, 6))
-            m = int(rng.integers(0, 4))
-            x = rng.standard_normal(d)
-            y = float(rng.standard_normal())
-            loss = SquareLoss(x, y, m=m)
-            w = rng.standard_normal(d)
-            assert loss.window([w] * (m + 1)) == loss.unary(w)
+        stream = SquareLossStream(np.zeros((1, 3)), np.ones(1))
+        assert stream.window_losses(np.zeros((1, 3)))[0] == pytest.approx(0.5, abs=0)
 
     def test_gradient_zero_at_zero_residual(self):
         loss = SquareLoss(np.array([1.0, 0.0]), 0.0)
@@ -82,7 +58,7 @@ class TestMemoryLoss:
             loss = SquareLoss(x, y)
             w = rng.standard_normal(5)
             g = loss.grad(w)
-            fd = finite_diff(loss.unary, w)
+            fd = finite_diff(closure_square_loss(x, y)[1], w)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-9)
 
     def test_grad_call_counter(self):
@@ -114,9 +90,11 @@ def window_at(decisions, t, m):
     return [decisions[max(s, 0)] for s in range(t - m, t + 1)]
 
 
-def oracle_window_losses(decisions, losses):
-    """Reference window losses: each round's oracle asked one window at a time."""
-    return np.array([loss.window(window_at(decisions, t, loss.m)) for t, loss in enumerate(losses)])
+def reference_window_losses(decisions, stream):
+    """Reference window losses: each round's closure asked one window at a time."""
+    m = stream.m
+    windows = [closure_square_loss(x, y, m)[0] for x, y in zip(stream.X, stream.y)]
+    return np.array([window(window_at(decisions, t, m)) for t, window in enumerate(windows)])
 
 
 class TestSquareLossStream:
@@ -128,14 +106,10 @@ class TestSquareLossStream:
         stream = SquareLossStream(X, y, m=m)
         assert len(stream) == T
         for t in range(T):
-            oracle, single = stream[t], SquareLoss(X[t], float(y[t]), m=m)
-            ref_window, ref_unary, ref_grad = closure_square_loss(X[t], float(y[t]), m=m)
-            assert oracle.m == single.m == m
+            oracle, single = stream[t], SquareLoss(X[t], float(y[t]))
+            ref_grad = closure_square_loss(X[t], float(y[t]), m=m)[2]
             for _ in range(5):
-                window = list(rng.standard_normal((m + 1, d)))
-                w = window[-1]
-                assert oracle.window(window) == single.window(window) == ref_window(window)
-                assert oracle.unary(w) == single.unary(w) == ref_unary(w)
+                w = rng.standard_normal(d)
                 g = oracle.grad(w)
                 assert np.array_equal(g, single.grad(w)) and np.array_equal(g, ref_grad(w))
             assert oracle.grad_calls == single.grad_calls == 5
@@ -147,7 +121,7 @@ class TestSquareLossStream:
         T, d = 50, 4
         stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T), m=m)
         w = rng.standard_normal((T, d))
-        loop = oracle_window_losses(w, stream)
+        loop = reference_window_losses(w, stream)
         assert np.allclose(stream.window_losses(w), loop, rtol=1e-12, atol=0)
 
     def test_rejects_mismatched_arrays(self, rng):
@@ -234,12 +208,13 @@ def test_memory_upper_bound_decomposition(rng):
                 for t in range(T)) / (m + 1)
         lam = m ** 2 * L
 
+        reference = [closure_square_loss(xs[t], ys[t], m) for t in range(T)]
+
         def memory_eval(seq, t):
-            window = [seq[max(s, 0)] for s in range(t - m, t + 1)]
-            return losses[t].window(window)
+            return reference[t][0](window_at(seq, t, m))
 
         policy_regret = (sum(memory_eval(w, t) for t in range(T))
                          - sum(memory_eval(v, t) for t in range(T)))
-        unary_regret = sum(losses[t].unary(w[t]) - losses[t].unary(v[t]) for t in range(T))
+        unary_regret = sum(reference[t][1](w[t]) - reference[t][1](v[t]) for t in range(T))
         bound = (lam * path_length(w) + lam * path_length(v) + unary_regret)
         assert policy_regret <= bound + 1e-9
