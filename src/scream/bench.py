@@ -112,28 +112,32 @@ class ExperimentConfig:
                 and self.noise_low <= self.noise_high):
             raise ContractViolation("noise bounds must be finite with noise_low <= noise_high, "
                                     f"got [{self.noise_low}, {self.noise_high}]")
-        if not 0 < self.model_radius <= self.diameter / 2.0:
-            raise ContractViolation("truth radius must lie in (0, D/2]")
+        if not 0 < self.model_radius <= self.max_model_radius:
+            raise ContractViolation(
+                "truth radius must lie in (0, D/2] and keep Gamma^2 (D/2 + r) + |noise| Gamma <= G "
+                f"with noise in [{self.noise_low:g}, {self.noise_high:g}], so r <= "
+                f"{self.max_model_radius:.6g}; got {self.model_radius:.6g}")
 
     @property
     def grad_bound(self) -> float:
         return self.diameter * self.feature_radius ** 2  # G = D * Gamma^2
 
     @property
-    def model_radius(self) -> float:
-        """Radius of the ground-truth models: ``truth_radius``, or derived when that is None.
+    def max_model_radius(self) -> float:
+        """The largest truth radius r that keeps the worst-case gradient norm within G.
 
-        The derived radius is the largest for which the worst-case gradient
-        norm, noise included, stays within G = D * Gamma^2:
-        Gamma^2 (D/2 + r) + |noise| * Gamma <= G, with |noise| at most
-        max(|noise_low|, |noise_high|).
+        That is Gamma^2 (D/2 + r) + |noise| * Gamma <= G = D * Gamma^2, with
+        |noise| at most max(|noise_low|, |noise_high|), and r at most D/2.
         """
-        if self.truth_radius is not None:
-            return self.truth_radius
         noise = max(abs(self.noise_low), abs(self.noise_high))
         bound = ((self.grad_bound - noise * self.feature_radius)
                  / self.feature_radius ** 2 - self.diameter / 2.0)
         return min(bound, self.diameter / 2.0)
+
+    @property
+    def model_radius(self) -> float:
+        """Radius of the ground-truth models: ``truth_radius``, or the largest valid one when None."""
+        return self.max_model_radius if self.truth_radius is None else self.truth_radius
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -150,10 +154,6 @@ class RegressionStream:
     X: np.ndarray        # (T, d) features
     y: np.ndarray        # (T,) targets
     truths: np.ndarray   # (T, d) ground-truth model per round
-
-    @property
-    def comparators(self) -> np.ndarray:
-        return self.truths
 
     def losses(self) -> SquareLossStream:
         """A fresh array-backed oracle stream (its gradient counters start at zero)."""
@@ -219,7 +219,7 @@ def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
     lam = alpha * config.grad_bound
     start = time.perf_counter()
     run = learners.run_online(oco_learner(config, algorithm, lam), losses)
-    report = run.report(stream.comparators, lam)
+    report = run.report(stream.truths, lam)
     wall_ms = (time.perf_counter() - start) * 1000.0
     check_movement_bounds(run.learner, config.grad_bound, config.T)
     row = ResultRow(

@@ -116,13 +116,6 @@ class StabilityCertificate:
     modes: np.ndarray | None = None       # diagonal of L
     reason: str = ""
 
-    def reconstruction(self, closed_loop: np.ndarray) -> float:
-        if self.transform is None:
-            return float("inf")
-        H = self.transform
-        rebuilt = H @ np.diag(self.modes) @ np.linalg.inv(H)
-        return float(np.max(np.abs(rebuilt - closed_loop)))
-
 
 def certify_strong_stability(system: LinearSystem, K, kappa: float | None = None,
                              gamma: float | None = None) -> StabilityCertificate:
@@ -219,7 +212,7 @@ def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Closed-loop record; every transition satisfies the dynamics residual check."""
+    """Closed-loop record: states, actions, disturbances and per-round costs."""
 
     states: np.ndarray        # (T + 1, d_x)
     actions: np.ndarray       # (T, d_u)
@@ -229,10 +222,6 @@ class Trajectory:
     @property
     def T(self) -> int:
         return self.actions.shape[0]
-
-    def max_residual(self, system: LinearSystem) -> float:
-        pred = (self.states[:-1] @ system.A.T + self.actions @ system.B.T + self.disturbances)
-        return float(np.max(np.linalg.norm(self.states[1:] - pred, axis=1))) if self.T else 0.0
 
 
 def random_stable_system(d_x: int, d_u: int, spectral_radius: float, seed: int,

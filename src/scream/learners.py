@@ -112,29 +112,23 @@ def surrogate_losses(experts_now: np.ndarray, experts_prev: np.ndarray,
 
 @dataclass(frozen=True)
 class ScreamConfig:
-    """Horizon-tuned configuration.
+    """Horizon-tuned configuration for the movement weight ``lam``.
 
-    ``lam`` defaults to m^2 * L (the memory-induced movement penalty); the
-    benchmarks override it directly to study the movement/regret trade-off.
-    ``meta_rate`` and ``pool`` default to their optimally tuned values.
+    ``lam`` is where memory enters: the benchmarks set it to study the
+    movement/regret trade-off.  ``meta_rate`` and ``pool`` default to their
+    optimally tuned values.
     """
 
     T: int
     grad_bound: float
     diameter: float
-    memory: int = 0
-    lipschitz: float = 1.0
-    lam: float = None  # type: ignore[assignment]
+    lam: float
     meta_rate: float = None  # type: ignore[assignment]
     pool: StepSizePool = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.T < 1:
             raise ContractViolation("horizon must be at least 1")
-        if self.memory < 0:
-            raise ContractViolation("memory length must be non-negative")
-        if self.lam is None:
-            object.__setattr__(self, "lam", self.memory ** 2 * self.lipschitz)
         if self.pool is None:
             object.__setattr__(self, "pool",
                                build_step_size_pool(self.T, self.diameter, self.grad_bound, self.lam))
@@ -233,22 +227,20 @@ class Ader(MetaExpertLearner):
         self.config = config
 
 
-def ogd_default_step_size(T: int, diameter: float, grad_bound: float,
-                          memory: int = 0, lipschitz: float = 1.0) -> float:
-    """eta* = sqrt(2 D^2 / ((G^2 + m^2 L G) T))."""
-    return math.sqrt(2.0 * diameter ** 2 /
-                     ((grad_bound ** 2 + memory ** 2 * lipschitz * grad_bound) * T))
+def ogd_default_step_size(T: int, diameter: float, grad_bound: float) -> float:
+    """eta* = sqrt(2 D^2 / (G^2 T))."""
+    return math.sqrt(2.0 * diameter ** 2 / (grad_bound ** 2 * T))
 
 
 class OgdMemory:
-    """Projected online gradient descent on the unary loss with a fixed step size."""
+    """Projected online gradient descent on the unary loss with a fixed step size, from the origin."""
 
-    def __init__(self, step_size: float, domain: DomainBall, start=None):
+    def __init__(self, step_size: float, domain: DomainBall):
         if step_size <= 0:
             raise ContractViolation("step size must be positive")
         self.step_size = float(step_size)
         self.domain = domain
-        self.point = domain.check(start) if start is not None else np.zeros(domain.dim)
+        self.point = np.zeros(domain.dim)
         self.switching = 0.0
         self.grad_evals = 0
         self.rounds = 0
@@ -271,12 +263,16 @@ class OcoRun:
 
     decisions: np.ndarray            # (T, d)
     losses: SquareLossStream         # the run's losses, one oracle a round
-    incurred: np.ndarray             # f_t on the learner's own windows
     learner: object
 
     @property
     def T(self) -> int:
         return self.decisions.shape[0]
+
+    @property
+    def incurred(self) -> np.ndarray:
+        """f_t at the learner's own decisions, one window-loss pass on each read."""
+        return self.losses.window_losses(self.decisions)
 
     def report(self, comparators, lam: float) -> RegretReport:
         return regret_metrics(self.decisions, comparators, self.losses, lam)
@@ -288,20 +284,20 @@ def run_online(learner, losses: SquareLossStream) -> OcoRun:
     for loss in losses:
         decisions.append(np.asarray(learner.decide(), dtype=float))
         learner.observe(loss)
-    arr = np.asarray(decisions)
-    return OcoRun(arr, losses, losses.window_losses(arr), learner)
+    return OcoRun(np.asarray(decisions), losses, learner)
 
 
 def trajectory_rows(run: OcoRun):
     """Per-round rows (t, decision norm, loss, instantaneous movement)."""
     rows = []
+    incurred = run.incurred
     prev = run.decisions[0]
     for t in range(run.T):
         w = run.decisions[t]
         rows.append({
             "t": t + 1,
             "decision_norm": float(np.linalg.norm(w)),
-            "loss": float(run.incurred[t]),
+            "loss": float(incurred[t]),
             "movement": float(np.linalg.norm(w - prev)),
         })
         prev = w

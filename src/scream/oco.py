@@ -1,11 +1,13 @@
 """Core types for online convex optimization with memory.
 
-A round-t loss depends on the window of the last ``m + 1`` decisions.  A run's
-losses are a :class:`SquareLossStream`, held as arrays.  Its round-t oracle
-(a :class:`SquareLoss`, revealed only after the decision is submitted) gives
-the analytic gradient of the unary loss; the stream evaluates every round's
-window loss in one pass, and every algorithm in this package reports its
-performance through :func:`regret_metrics`.
+Memory enters the OCO guarantee only through the switching-cost weight
+``lam``: dynamic policy regret splits into unary regret plus ``lam`` times the
+movement, so a round-t loss here is the unary square loss of the round-t
+decision.  A run's losses are a :class:`SquareLossStream`, held as arrays.
+Its round-t oracle (a :class:`SquareLoss`, revealed only after the decision
+is submitted) gives the analytic gradient; the stream evaluates every round's
+loss in one pass, and every algorithm in this package reports its performance
+through :func:`regret_metrics`, which prices the movement with ``lam``.
 """
 
 from __future__ import annotations
@@ -70,14 +72,6 @@ class DomainBall:
         v = np.asarray(x, dtype=float)
         return bool(np.all(np.isfinite(v)) and np.linalg.norm(v) <= self.radius + tol)
 
-    def check(self, x) -> np.ndarray:
-        v = as_vector(x, self.dim)
-        if not self.contains(v):
-            raise ContractViolation(
-                f"decision norm {np.linalg.norm(v):.6g} exceeds radius {self.radius:.6g}"
-            )
-        return v
-
 
 class SquareLoss:
     """One round's square loss f(w) = (w.x - y)^2 / 2, revealed as a gradient oracle.
@@ -103,24 +97,19 @@ class SquareLossStream(Sequence):
     """The square losses of a whole stream, held as arrays: row t of ``X`` and ``y`` is round t.
 
     A sized sequence of round oracles: ``stream[t]`` is ``SquareLoss(X[t],
-    y[t])``, the gradient oracle of round t's unary loss (with memory ``m``,
-    the window mean on a repeated decision is the same square loss).  It is
-    built on first access and then kept, so each round's ``grad_calls``
-    survives the run.  :meth:`window_losses` evaluates every round's window
-    loss at once.
+    y[t])``, the gradient oracle of round t's loss.  It is built on first
+    access and then kept, so each round's ``grad_calls`` survives the run.
+    :meth:`window_losses` evaluates every round's loss at once.
     """
 
-    def __init__(self, X, y, m: int = 0):
+    def __init__(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ContractViolation(
                 f"need X of shape (T, d) and y of shape (T,), got {X.shape} and {y.shape}")
-        if m < 0:
-            raise ContractViolation("memory length must be non-negative")
         self.X = X
         self.y = y
-        self.m = int(m)
         self._oracles: list[SquareLoss | None] = [None] * X.shape[0]
 
     def __len__(self) -> int:
@@ -133,18 +122,11 @@ class SquareLossStream(Sequence):
         return oracle
 
     def window_losses(self, decisions) -> np.ndarray:
-        """f_t(w_{t-m}, ..., w_t) for every round t of a (T, d) decision array, in one pass.
-
-        Decisions before round one are taken equal to the round-one decision.
-        """
+        """f_t(w_t) = (w_t.x_t - y_t)^2 / 2 for every round t of a (T, d) decision array, in one pass."""
         w = np.asarray(decisions, dtype=float)
         if w.shape != self.X.shape:
             raise ContractViolation(f"expected decisions of shape {self.X.shape}, got {w.shape}")
-        T = w.shape[0]
-        # window[t, j] = index of w_{t-m+j}, clamped to the first round
-        window = np.maximum(np.arange(T)[:, None] - self.m + np.arange(self.m + 1)[None, :], 0)
-        residual = np.einsum("tjd,td->tj", w[window], self.X) - self.y[:, None]
-        return np.sum(0.5 * residual ** 2, axis=1) / (self.m + 1)
+        return 0.5 * (np.einsum("td,td->t", w, self.X) - self.y) ** 2
 
 
 def path_length(sequence) -> float:
@@ -179,8 +161,7 @@ def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float)
     """Fill a :class:`RegretReport` for a finished run.
 
     ``decisions`` and ``comparators`` are (T, d) arrays; ``losses`` the run's
-    stream.  Decisions (and comparators) before round one are taken equal to
-    their round-one value.  The cumulative and comparator losses are one
+    stream.  The cumulative and comparator losses are one
     :meth:`SquareLossStream.window_losses` pass each.
     """
     w = np.asarray(decisions, dtype=float)

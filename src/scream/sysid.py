@@ -63,9 +63,6 @@ class IdentifiedSystem:
     def as_system(self, w_bound: float = 1.0) -> LinearSystem:
         return LinearSystem(self.A_hat, self.B_hat, w_bound=w_bound)
 
-    def reconstruction_residual(self) -> float:
-        return float(np.max(np.abs(self.A_hat - (self.A_K_hat + self.B_hat @ self.K))))
-
 
 def explore(plant: LinearSystem, K, T0: int, disturbances, rng, costs=None):
     """Drive the plant with u = -K x + z, z ~ {+-1}^(d_u); returns (trajectory, sign inputs)."""

@@ -153,6 +153,10 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench"], "diameter = 0\n", "diameter must be finite and positive"),
     (["oco-bench"], "diameter = -1\n", "diameter must be finite and positive"),
     (["oco-bench"], "diameter = nan\n", "diameter must be finite and positive"),
+    # an explicit radius within D/2 must keep the gradient bound too
+    (["oco-bench", "--serial"],
+     "T = 50\ntruth_radius = 0.5\nnoise_high = 5\nalgorithms = ogd\nalphas = 0.5\nseeds = 0\n",
+     "|noise| Gamma <= G with noise in [0, 5], so r <= -4; got 0.5"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):

@@ -9,6 +9,8 @@ from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_a
 from scream.lds import LinearSystem, preset, random_stable_system
 from scream.oco import ContractViolation
 
+from conftest import dynamics_residual
+
 
 def transfer_norm_bound(kappa, gamma, kappa_B, H, i, h):
     """Reference: certified operator-norm cap of the transfer matrix at index i (tau = kappa_B kappa^3)."""
@@ -248,7 +250,7 @@ class TestSimulateDac:
         scale = np.max(np.abs(ref_states))
         assert np.max(np.abs(traj.states - ref_states)) <= 1e-11 * scale
         assert np.max(np.abs(traj.actions - ref_actions)) <= 1e-11 * scale
-        assert traj.max_residual(system) <= 1e-11 * scale
+        assert dynamics_residual(system, traj) <= 1e-11 * scale
 
     def test_fixed_parameters_equal_their_repetition(self, rng):
         loop = make_loop(seed=3)

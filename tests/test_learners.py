@@ -349,11 +349,6 @@ def test_ader_meta_rate_formula():
         math.sqrt(8 * math.log(9) / (16.0 * 100)), rel=1e-15)
 
 
-def test_default_lam_is_memory_squared_lipschitz():
-    config = ScreamConfig(T=10, grad_bound=1.0, diameter=2.0, memory=3, lipschitz=0.5)
-    assert config.lam == pytest.approx(4.5, abs=0)
-
-
 def test_trajectory_rows_columns(rng):
     T = 15
     losses = SquareLossStream(rng.standard_normal((T, 2)), rng.standard_normal(T))

@@ -90,20 +90,20 @@ def window_at(decisions, t, m):
     return [decisions[max(s, 0)] for s in range(t - m, t + 1)]
 
 
-def reference_window_losses(decisions, stream):
+def reference_window_losses(decisions, stream, m):
     """Reference window losses: each round's closure asked one window at a time."""
-    m = stream.m
     windows = [closure_square_loss(x, y, m)[0] for x, y in zip(stream.X, stream.y)]
     return np.array([window(window_at(decisions, t, m)) for t, window in enumerate(windows)])
 
 
 class TestSquareLossStream:
-    @pytest.mark.parametrize("m", [0, 2])
+    # the stream's losses are the m = 0 windows of the reference closures
+    @pytest.mark.parametrize("m", [0])
     def test_oracles_equal_square_loss_oracles(self, rng, m):
         T, d = 8, 3
         X = rng.standard_normal((T, d))
         y = rng.standard_normal(T)
-        stream = SquareLossStream(X, y, m=m)
+        stream = SquareLossStream(X, y)
         assert len(stream) == T
         for t in range(T):
             oracle, single = stream[t], SquareLoss(X[t], float(y[t]))
@@ -116,12 +116,12 @@ class TestSquareLossStream:
         assert stream[3] is stream[3]
         assert [loss.grad_calls for loss in stream] == [5] * T
 
-    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("m", [0])
     def test_vectorized_window_losses_match_oracle_loop(self, rng, m):
         T, d = 50, 4
-        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T), m=m)
+        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
         w = rng.standard_normal((T, d))
-        loop = reference_window_losses(w, stream)
+        loop = reference_window_losses(w, stream, m)
         assert np.allclose(stream.window_losses(w), loop, rtol=1e-12, atol=0)
 
     def test_rejects_mismatched_arrays(self, rng):
@@ -157,21 +157,20 @@ class TestRegretMetrics:
         assert report.switching_cost == pytest.approx(0.5, abs=1e-15)
 
     def test_brute_force_recomputation(self, rng):
-        # independent summation oracle over raw losses, memory included
-        T, d, m = 20, 3, 2
+        # independent summation oracle over raw losses
+        T, d = 20, 3
         xs = rng.standard_normal((T, d))
         ys = rng.standard_normal(T)
-        losses = SquareLossStream(xs, ys, m=m)
+        losses = SquareLossStream(xs, ys)
         w = rng.standard_normal((T, d)) * 0.3
         v = rng.standard_normal((T, d)) * 0.3
         report = regret_metrics(w, v, losses, lam=0.7)
 
-        def memory_eval(seq, t):
-            window = [seq[max(s, 0)] for s in range(t - m, t + 1)]
-            return sum(0.5 * (u @ xs[t] - ys[t]) ** 2 for u in window) / (m + 1)
+        def loss_at(seq, t):
+            return 0.5 * (seq[t] @ xs[t] - ys[t]) ** 2
 
-        cum_w = sum(memory_eval(w, t) for t in range(T))
-        cum_v = sum(memory_eval(v, t) for t in range(T))
+        cum_w = sum(loss_at(w, t) for t in range(T))
+        cum_v = sum(loss_at(v, t) for t in range(T))
         sw = 0.7 * sum(np.linalg.norm(w[t] - w[t - 1]) for t in range(1, T))
         pl = sum(np.linalg.norm(v[t] - v[t - 1]) for t in range(1, T))
         assert report.cumulative_loss == pytest.approx(cum_w, rel=1e-12)
@@ -197,7 +196,6 @@ def test_memory_upper_bound_decomposition(rng):
     for trial in range(25):
         xs = rng.standard_normal((T, d)) * 0.5
         ys = rng.standard_normal(T) * 0.5
-        losses = SquareLossStream(xs, ys, m=m)
         w = rng.standard_normal((T, d)) * 0.4
         v = rng.standard_normal((T, d)) * 0.4
         # coordinate Lipschitz constant of the averaged square-loss window on this data:

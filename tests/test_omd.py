@@ -18,7 +18,8 @@ class ConstantGradient:
 
 def ogd_round(point, eta, g, ball) -> np.ndarray:
     """One round of projected gradient descent, driven through OgdMemory."""
-    learner = OgdMemory(eta, ball, start=point)
+    learner = OgdMemory(eta, ball)
+    learner.point = point
     learner.observe(ConstantGradient(g))
     return learner.point
 
