@@ -18,9 +18,8 @@ The package provides:
 
 from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, SquareLossStream,
                   path_length, regret_metrics)
-from .learners import (Ader, OgdMemory, Scream, ScreamConfig, StepSizePool,
-                       build_step_size_pool, hedge_step, nonuniform_prior, run_online,
-                       surrogate_losses)
+from .learners import (Ader, OgdMemory, Scream, ScreamConfig, build_step_size_pool,
+                       hedge_step, nonuniform_prior, run_online, surrogate_losses)
 from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Trajectory,
                   certify_strong_stability, closed_loop_rollout, preset, random_stable_system,
                   recover_disturbance, step_dynamics)

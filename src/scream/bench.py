@@ -23,10 +23,10 @@ from .control import (ControlConfig, best_fixed_dac_per_segment, control_traject
 from .csvio import emit_csv
 from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lipschitz_constants,
                   state_action_bound, tracking_grad_coeff)
-from .lds import preset, preset_names
+from .lds import DisturbanceGenerator, check_preset, preset
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, ogd_default_step_size,
                        trajectory_rows)
-from .oco import ContractViolation, DomainBall, SquareLossStream
+from .oco import ContractViolation, DomainBall, RegretReport, SquareLossStream
 from .sysid import IdentificationConfig, identify_system
 
 RESULT_COLUMNS = ("scenario", "algorithm", "seed", "alpha", "overall_loss", "cumulative_loss",
@@ -191,6 +191,14 @@ class ResultRow:
     path_length: float
     wall_time_ms: float
 
+    @classmethod
+    def from_report(cls, scenario: str, algorithm: str, seed: int, alpha: float,
+                    report: RegretReport, wall_time_ms: float) -> ResultRow:
+        """The row of one cell: its key, the report's five metrics and the measured wall time."""
+        return cls(scenario, algorithm, seed, alpha, report.overall_loss, report.cumulative_loss,
+                   report.switching_cost, report.dynamic_policy_regret, report.path_length,
+                   wall_time_ms)
+
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
@@ -222,18 +230,7 @@ def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
     report = run.report(stream.truths, lam)
     wall_ms = (time.perf_counter() - start) * 1000.0
     check_movement_bounds(run.learner, config.grad_bound, config.T)
-    row = ResultRow(
-        scenario=config.scenario,
-        algorithm=algorithm,
-        seed=seed,
-        alpha=alpha,
-        overall_loss=report.overall_loss,
-        cumulative_loss=report.cumulative_loss,
-        switching_cost=report.switching_cost,
-        dynamic_regret=report.dynamic_policy_regret,
-        path_length=report.path_length,
-        wall_time_ms=wall_ms,
-    )
+    row = ResultRow.from_report(config.scenario, algorithm, seed, alpha, report, wall_ms)
     per_round = trajectory_rows(run) if config.per_round else None
     return row, per_round
 
@@ -351,6 +348,8 @@ class ControlScenario:
     per_round: bool = False
 
     def __post_init__(self):
+        check_preset(self.preset)
+        DisturbanceGenerator(self.disturbance_kind, 1, 0.0)  # raises on an unknown kind
         if self.T < 1 or self.H < 1 or self.segment_length < 1:
             raise ContractViolation("T, H and segment_length must be at least 1")
         for key in ("target_radius", "control_weight", "disturbance_amplitude", "lam_multiplier"):
@@ -421,18 +420,8 @@ def run_control_cell(scenario: ControlScenario, seed: int) -> tuple[ResultRow, d
         rows = control_trajectory_rows(run)
         emit_csv(rows, list(rows[0].keys()),
                  Path(scenario.outdir) / f"rounds_{scenario.name}_s{seed}.csv")
-    row = ResultRow(
-        scenario=scenario.name,
-        algorithm="scream-control",
-        seed=seed,
-        alpha=scenario.lam_multiplier,
-        overall_loss=report.overall_loss,
-        cumulative_loss=report.cumulative_loss,
-        switching_cost=report.switching_cost,
-        dynamic_regret=report.dynamic_policy_regret,
-        path_length=report.path_length,
-        wall_time_ms=wall_ms,
-    )
+    row = ResultRow.from_report(scenario.name, "scream-control", seed, scenario.lam_multiplier,
+                                report, wall_ms)
     return row, config.metadata()
 
 
@@ -472,9 +461,7 @@ class SysidScenario:
     outdir: str = "bench-out"
 
     def __post_init__(self):
-        if self.preset not in preset_names():
-            raise ContractViolation(
-                f"unknown system preset {self.preset!r}; available: {preset_names()}")
+        check_preset(self.preset)
         if not self.budgets:
             raise ContractViolation("need at least one exploration budget")
         if not self.seeds:

@@ -11,55 +11,36 @@ recovered; learning starts at round H + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, dac_action, lag_table,
                   simulate_dac, unary_truncated_gradient, unary_truncated_map)
 from .lds import LinearSystem, recover_disturbance, step_dynamics
-from .learners import (MetaExpertLearner, StepSizePool, build_step_size_pool,
-                       nonuniform_prior, scream_meta_rate)
+from .learners import MetaExpertLearner, ScreamConfig
 from .oco import ContractViolation, RegretReport, path_length
-
-
-def control_pool(constants: LipschitzConstants, T: int, lam: float | None = None) -> tuple[StepSizePool, float]:
-    """Step-size pool and meta rate in parameter space.
-
-    eta_i = 2^(i-1) * sqrt(D_f^2 / ((lam * G_f + G_f^2) * T)) with the usual
-    pool size, and the meta rate follows the same optimal tuning as the OCO
-    learner with (D, G) replaced by (D_f, G_f).
-    """
-    lam = constants.lam if lam is None else float(lam)
-    pool = build_step_size_pool(T, constants.diameter, constants.grad_bound, lam)
-    rate = scream_meta_rate(T, constants.diameter, constants.grad_bound, lam)
-    return pool, rate
 
 
 @dataclass(frozen=True)
 class ControlConfig:
     """Horizon-tuned controller configuration.
 
-    ``lam_multiplier`` rescales the movement penalty away from its theoretical
-    value (which can be enormous at desk scale); the theoretical value stays
-    available as ``constants.lam`` and is logged in run metadata.
+    The engine's tuning row is that of :class:`scream.learners.ScreamConfig`
+    with (D, G) replaced by the parameter-space constants (D_f, G_f) and the
+    movement weight ``lam``.  ``lam_multiplier`` rescales the movement penalty
+    away from its theoretical value (which can be enormous at desk scale);
+    the theoretical value stays available as ``constants.lam`` and is logged
+    in run metadata.  A horizon below 1, a negative multiplier or a D_f or
+    G_f that is not positive raises :class:`ContractViolation` at construction.
     """
 
     T: int
     constants: LipschitzConstants
-    pool: StepSizePool = None  # type: ignore[assignment]
-    meta_rate: float = None  # type: ignore[assignment]
     lam_multiplier: float = 1.0
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ContractViolation("horizon must be at least 1")
-        if self.pool is None or self.meta_rate is None:
-            pool, rate = control_pool(self.constants, self.T, self.lam)
-            if self.pool is None:
-                object.__setattr__(self, "pool", pool)
-            if self.meta_rate is None:
-                object.__setattr__(self, "meta_rate", rate)
+        self.tuning()  # raises on a bad horizon, constants or multiplier
 
     @property
     def H(self) -> int:
@@ -69,17 +50,23 @@ class ControlConfig:
     def lam(self) -> float:
         return self.constants.lam * self.lam_multiplier
 
+    def tuning(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(step sizes, prior, meta rate, surrogate lam) of ScreamConfig(T, G_f, D_f, lam)."""
+        return ScreamConfig(self.T, self.constants.grad_bound, self.constants.diameter,
+                            self.lam).tuning()
+
     def metadata(self) -> dict:
+        etas, _, meta_rate, _ = self.tuning()
         return {
             "T": self.T,
             "H": self.H,
             "lam": self.lam,
             "lam_theoretical": self.constants.lam,
             "lam_multiplier": self.lam_multiplier,
-            "meta_rate": self.meta_rate,
-            "pool": list(self.pool.etas),
-            "n_experts": self.pool.n,
-            "constants": self.constants.as_dict(),
+            "meta_rate": meta_rate,
+            "pool": etas.tolist(),
+            "n_experts": len(etas),
+            "constants": asdict(self.constants),
         }
 
 
@@ -94,8 +81,7 @@ class ScreamControl(MetaExpertLearner):
     def __init__(self, loop: ClosedLoop, feasible: DacFeasibleSet, config: ControlConfig):
         if feasible.H != config.H:
             raise ContractViolation("feasible set and configuration disagree on H")
-        super().__init__(config.pool, nonuniform_prior(config.pool.n), config.meta_rate,
-                         config.lam, feasible.zeros().shape, self._project)
+        super().__init__(*config.tuning(), feasible.zeros().shape, self._project)
         self.loop = loop
         self.feasible = feasible
         self.config = config

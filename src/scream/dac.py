@@ -342,15 +342,6 @@ class LipschitzConstants:
     diameter: float
     lam: float
 
-    def as_dict(self) -> dict:
-        return {
-            "kappa": self.kappa, "gamma": self.gamma, "kappa_B": self.kappa_B,
-            "w_bound": self.w_bound, "grad_coeff": self.grad_coeff, "H": self.H,
-            "d_u": self.d_u, "d_x": self.d_x, "tau": self.tau,
-            "state_bound": self.state_bound, "coord_lipschitz": self.coord_lipschitz,
-            "grad_bound": self.grad_bound, "diameter": self.diameter, "lam": self.lam,
-        }
-
 
 def state_action_bound(kappa: float, gamma: float, kappa_B: float, w_bound: float, H: int) -> float:
     """Worst-case norm of states and actions reached under feasible DAC play.

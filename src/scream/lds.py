@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oco import ContractViolation
+from .oco import ContractViolation, clip_to_ball
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,6 @@ class DisturbanceGenerator:
         return clip_to_ball(out, self.amplitude)
 
 
-def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
-    """Scale rows down to l2 norm <= bound (rows already inside are untouched)."""
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
-    return vectors * scale
-
-
 @dataclass
 class Trajectory:
     """Closed-loop record: states, actions, disturbances and per-round costs."""
@@ -310,13 +303,15 @@ def _sysid_3x2(seed: int = 0) -> SystemPreset:
     return SystemPreset("sysid-3x2", system, K, cert, gen)
 
 
+def check_preset(name: str) -> None:
+    """Raise :class:`ContractViolation` unless ``name`` is a registered preset."""
+    if name not in _PRESET_BUILDERS:
+        raise ContractViolation(f"unknown system preset {name!r}; available: {preset_names()}")
+
+
 def preset(name: str, seed: int = 0) -> SystemPreset:
-    try:
-        builder = _PRESET_BUILDERS[name]
-    except KeyError:
-        raise ContractViolation(
-            f"unknown system preset {name!r}; available: {sorted(_PRESET_BUILDERS)}") from None
-    return builder(seed)
+    check_preset(name)
+    return _PRESET_BUILDERS[name](seed)
 
 
 def preset_names() -> list[str]:

@@ -27,32 +27,17 @@ def pool_size(T: int) -> int:
     return math.ceil(0.5 * math.log2(1 + T)) + 1
 
 
-@dataclass(frozen=True)
-class StepSizePool:
-    """Geometric grid of expert step sizes with ratio exactly 2."""
+def build_step_size_pool(T: int, diameter: float, grad_bound: float, lam: float) -> np.ndarray:
+    """Pool eta_i = 2^(i-1) * sqrt(D^2 / ((lam*G + G^2) * T)), i = 1..N, as a float array.
 
-    etas: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.etas or any(e <= 0 for e in self.etas):
-            raise ContractViolation("pool must hold positive step sizes")
-
-    @property
-    def n(self) -> int:
-        return len(self.etas)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.etas, dtype=float)
-
-
-def build_step_size_pool(T: int, diameter: float, grad_bound: float, lam: float) -> StepSizePool:
-    """Pool eta_i = 2^(i-1) * sqrt(D^2 / ((lam*G + G^2) * T)), i = 1..N."""
+    N is :func:`pool_size` of T; neighbouring step sizes have ratio exactly 2.
+    """
     if T < 1:
         raise ContractViolation("horizon must be at least 1")
-    if diameter <= 0 or grad_bound <= 0 or lam < 0:
+    if not (diameter > 0 and grad_bound > 0 and lam >= 0):  # NaN fails too
         raise ContractViolation("need D > 0, G > 0 and lam >= 0")
     base = math.sqrt(diameter ** 2 / ((lam * grad_bound + grad_bound ** 2) * T))
-    return StepSizePool(tuple(base * 2 ** i for i in range(pool_size(T))))
+    return base * 2.0 ** np.arange(pool_size(T))
 
 
 def nonuniform_prior(n: int) -> np.ndarray:
@@ -112,29 +97,28 @@ def surrogate_losses(experts_now: np.ndarray, experts_prev: np.ndarray,
 
 @dataclass(frozen=True)
 class ScreamConfig:
-    """Horizon-tuned configuration for the movement weight ``lam``.
+    """Horizon tuning of the meta-expert engine for gradient bound G, diameter D and ``lam``.
 
     ``lam`` is where memory enters: the benchmarks set it to study the
-    movement/regret trade-off.  ``meta_rate`` and ``pool`` default to their
-    optimally tuned values.
+    movement/regret trade-off.  :meth:`tuning` derives the engine's row from
+    the four fields; the controller uses the same row with (D, G) replaced by
+    its parameter-space constants.  A horizon below 1, D <= 0, G <= 0 or
+    lam < 0 raises :class:`ContractViolation` at construction.
     """
 
     T: int
     grad_bound: float
     diameter: float
     lam: float
-    meta_rate: float = None  # type: ignore[assignment]
-    pool: StepSizePool = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ContractViolation("horizon must be at least 1")
-        if self.pool is None:
-            object.__setattr__(self, "pool",
-                               build_step_size_pool(self.T, self.diameter, self.grad_bound, self.lam))
-        if self.meta_rate is None:
-            object.__setattr__(self, "meta_rate",
-                               scream_meta_rate(self.T, self.diameter, self.grad_bound, self.lam))
+        self.tuning()  # raises on a bad horizon, D, G or lam
+
+    def tuning(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The engine's row: (step sizes, nonuniform prior, optimal meta rate, surrogate lam)."""
+        etas = build_step_size_pool(self.T, self.diameter, self.grad_bound, self.lam)
+        rate = scream_meta_rate(self.T, self.diameter, self.grad_bound, self.lam)
+        return etas, nonuniform_prior(len(etas)), rate, self.lam
 
 
 class MetaExpertLearner:
@@ -146,18 +130,25 @@ class MetaExpertLearner:
     feasible set.  Experts start at the origin and the previous-decision
     buffer starts equal to the experts, so the movement penalty of the first
     round is zero.
+
+    ``etas`` is the step-size pool, one positive step size per expert (a
+    non-empty 1-D array), and ``prior`` the initial meta weights, one per
+    expert; :meth:`ScreamConfig.tuning` derives all four tuning arguments.
     """
 
-    def __init__(self, pool: StepSizePool, prior: np.ndarray, meta_rate: float,
+    def __init__(self, etas: np.ndarray, prior: np.ndarray, meta_rate: float,
                  surrogate_lam: float, shape: tuple[int, ...],
                  project: Callable[[np.ndarray], np.ndarray]):
+        etas = np.array(etas, dtype=float)
+        if etas.ndim != 1 or not etas.size or not np.all(etas > 0):
+            raise ContractViolation("pool must be a non-empty 1-D array of positive step sizes")
         prior = np.asarray(prior, dtype=float)
-        if prior.shape != (pool.n,):
+        if prior.shape != etas.shape:
             raise ContractViolation("prior length must match the pool size")
-        self.etas = pool.as_array()
+        self.etas = etas
         self.shape = tuple(shape)
         self.project = project
-        self.flat = np.zeros((pool.n, math.prod(self.shape)))
+        self.flat = np.zeros((len(etas), math.prod(self.shape)))
         self.prev_flat = self.flat.copy()
         self.weights = prior.copy()
         self.meta_rate = float(meta_rate)
@@ -166,7 +157,7 @@ class MetaExpertLearner:
         self.grad_evals = 0
         # diagnostics for the movement-bound checks
         self.meta_movement_slack = -math.inf
-        self.expert_switching = np.zeros(pool.n)
+        self.expert_switching = np.zeros(len(etas))
 
     @property
     def n_experts(self) -> int:
@@ -211,20 +202,17 @@ class Scream(MetaExpertLearner):
     """Switching-cost-regularized meta-expert aggregation."""
 
     def __init__(self, config: ScreamConfig, domain: DomainBall):
-        super().__init__(config.pool, nonuniform_prior(config.pool.n), config.meta_rate,
-                         config.lam, (domain.dim,), domain.project_rows)
-        self.config = config
+        super().__init__(*config.tuning(), (domain.dim,), domain.project_rows)
 
 
 class Ader(MetaExpertLearner):
     """Movement-agnostic contender: uniform prior, plain linearized meta losses."""
 
     def __init__(self, config: ScreamConfig, domain: DomainBall):
-        pool = build_step_size_pool(config.T, config.diameter, config.grad_bound, 0.0)
-        rate = ader_meta_rate(config.T, config.diameter, config.grad_bound, pool.n)
-        super().__init__(pool, np.full(pool.n, 1.0 / pool.n), rate, 0.0, (domain.dim,),
-                         domain.project_rows)
-        self.config = config
+        etas = build_step_size_pool(config.T, config.diameter, config.grad_bound, 0.0)
+        n = len(etas)
+        rate = ader_meta_rate(config.T, config.diameter, config.grad_bound, n)
+        super().__init__(etas, np.full(n, 1.0 / n), rate, 0.0, (domain.dim,), domain.project_rows)
 
 
 def ogd_default_step_size(T: int, diameter: float, grad_bound: float) -> float:

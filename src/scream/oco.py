@@ -33,6 +33,13 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
+    """Scale rows down to l2 norm <= bound (rows already inside are untouched)."""
+    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
+    return vectors * scale
+
+
 @dataclass(frozen=True)
 class DomainBall:
     """Origin-centered Euclidean ball of diameter ``diameter`` in R^dim.
@@ -64,9 +71,7 @@ class DomainBall:
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
         """Project every row of an (n, dim) array onto the ball."""
-        norms = np.linalg.norm(rows, axis=1)
-        scale = np.where(norms > self.radius, self.radius / np.maximum(norms, 1e-300), 1.0)
-        return rows * scale[:, None]
+        return clip_to_ball(rows, self.radius)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         v = np.asarray(x, dtype=float)

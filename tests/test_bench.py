@@ -211,12 +211,13 @@ class TestControlBenchmark:
 
     def test_failed_seeds_recorded_in_failures_txt(self, tmp_path):
         from scream.bench import run_control_benchmark
-        scenario = ControlScenario(preset="no-such-preset", T=60, H=2, segment_length=20,
+        # spin-3x2 cannot be certified at H = 2 for seed 0 nor seed 1: each seed fails on its own
+        scenario = ControlScenario(preset="spin-3x2", T=60, H=2, segment_length=20,
                                    seeds=(0, 1), outdir=str(tmp_path / "ctrl"))
         result = run_control_benchmark(scenario)
         assert not result.ok and result.rows == []
         lines = (tmp_path / "ctrl" / "failures.txt").read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2 and all("no-such-preset" in line for line in lines)
+        assert len(lines) == 2 and all("kappa^2 (1-gamma)^(H+1)" in line for line in lines)
         assert lines[0].startswith("('tracking-3x2', 0): ContractViolation")
 
     def test_controller_within_movement_bounds(self):

@@ -157,6 +157,9 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench", "--serial"],
      "T = 50\ntruth_radius = 0.5\nnoise_high = 5\nalgorithms = ogd\nalphas = 0.5\nseeds = 0\n",
      "|noise| Gamma <= G with noise in [0, 5], so r <= -4; got 0.5"),
+    # an unknown preset or disturbance kind stops control-bench before any seed runs
+    (["control-bench"], "preset = nope\n", "unknown system preset 'nope'"),
+    (["control-bench"], "disturbance_kind = nope\n", "unknown disturbance kind 'nope'"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scream import dac
 from scream.bench import ControlScenario, gen_control_scenario, scaling_scenario
 from scream.control import (ControlConfig, ScreamControl, best_fixed_dac_per_segment,
-                            control_pool, control_trajectory_rows, dynamic_policy_regret_control,
+                            control_trajectory_rows, dynamic_policy_regret_control,
                             run_scream_control, segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lag_table, lipschitz_constants, simulate_dac)
 from scream.lds import DisturbanceGenerator, preset
-from scream.learners import build_step_size_pool, nonuniform_prior, pool_size
+from scream.learners import ScreamConfig, build_step_size_pool, nonuniform_prior, pool_size
 from scream.oco import ContractViolation
 from scream.verify import check_simplex
 
@@ -31,26 +33,25 @@ def small_setup(seed=0, T=60, H=2, kind="piecewise-step"):
 class TestControlPool:
     def test_pool_structure(self):
         constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 2, 2, 3)
-        pool, rate = control_pool(constants, 100)
-        assert pool.n == pool_size(100)
-        etas = np.asarray(pool.etas)
+        etas, _, rate, _ = ControlConfig(T=100, constants=constants).tuning()
+        assert etas.shape == (pool_size(100),)
         assert np.all(etas[1:] / etas[:-1] == 2.0)
         assert rate > 0
 
     def test_cross_module_consistency(self):
         # with D_f = 1, G_f = 1, lam = 0 the pool matches the generic builder
         constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 2, 2, 3)
-        pool, _ = control_pool(constants, 100, lam=0.0)
+        pool = ScreamConfig(100, constants.grad_bound, constants.diameter, 0.0).tuning()[0]
         reference = build_step_size_pool(100, constants.diameter, constants.grad_bound, 0.0)
-        assert pool.etas == reference.etas
+        assert np.array_equal(pool, reference)
 
     def test_first_step_size_exact_value(self):
         # eta_1 = sqrt(D_f^2 / ((lam G_f + G_f^2) T)) evaluated by hand
         constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 2, 2, 3)
-        pool, rate = control_pool(constants, 400, lam=3.0)
         d_f, g_f = constants.diameter, constants.grad_bound
+        pool, _, rate, _ = ScreamConfig(400, g_f, d_f, 3.0).tuning()
         expected = np.sqrt(d_f ** 2 / ((3.0 * g_f + g_f ** 2) * 400))
-        assert pool.etas[0] == pytest.approx(expected, rel=1e-15)
+        assert pool[0] == pytest.approx(expected, rel=1e-15)
         assert rate == pytest.approx(
             np.sqrt(2.0 / ((2 * 3.0 + g_f) * (3.0 + g_f) * d_f ** 2 * 400)), rel=1e-15)
 
@@ -59,7 +60,27 @@ class TestControlPool:
         config = ControlConfig(T=50, constants=constants, lam_multiplier=0.0)
         assert config.lam == 0.0
         reference = build_step_size_pool(50, constants.diameter, constants.grad_bound, 0.0)
-        assert config.pool.etas == reference.etas
+        assert np.array_equal(config.tuning()[0], reference)
+
+    def test_tuning_row_is_that_of_scream_config(self):
+        constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 2, 2, 3)
+        config = ControlConfig(T=300, constants=constants, lam_multiplier=1e-3)
+        row = config.tuning()
+        reference = ScreamConfig(300, constants.grad_bound, constants.diameter, config.lam).tuning()
+        assert len(row) == len(reference) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(row, reference))
+        metadata = config.metadata()
+        assert metadata["pool"] == row[0].tolist() and metadata["n_experts"] == len(row[0])
+        assert metadata["meta_rate"] == row[2]
+
+    @pytest.mark.parametrize("T, multiplier, diameter", [(0, 1.0, None), (50, -1.0, None),
+                                                         (50, 1.0, 0.0), (50, 1.0, -1.0)])
+    def test_bad_tuning_inputs_raise_at_construction(self, T, multiplier, diameter):
+        constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 2, 2, 3)
+        if diameter is not None:
+            constants = replace(constants, diameter=diameter)
+        with pytest.raises(ContractViolation):
+            ControlConfig(T=T, constants=constants, lam_multiplier=multiplier)
 
 
 class TestScreamControlRound:
@@ -72,19 +93,20 @@ class TestScreamControlRound:
         for t in range(run.T):
             assert np.allclose(run.actions[t], -loop.K @ run.states[t], atol=1e-14)
 
-    def test_single_expert_matches_projected_gradient_controller(self):
+    def test_single_expert_matches_projected_gradient_controller(self, monkeypatch):
         loop, feasible, config, costs, w = small_setup(T=50)
-        single = ControlConfig(T=config.T, constants=config.constants,
-                               pool=type(config.pool)((config.pool.etas[0],)),
-                               meta_rate=config.meta_rate, lam_multiplier=config.lam_multiplier)
-        run = run_scream_control(loop, loop.system, w, costs, single, feasible=feasible)
+        etas, _, rate, lam = config.tuning()
+        monkeypatch.setattr(ControlConfig, "tuning",
+                            lambda self: (etas[:1], nonuniform_prior(1), rate, lam))
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        assert run.controller.n_experts == 1
 
         # reference: plain projected-gradient DAC controller with the same step size and
         # its own window of the 2H + 1 latest recovered disturbances, newest first
         from scream.dac import unary_truncated_gradient
         from scream.lds import recover_disturbance, step_dynamics
-        eta = single.pool.etas[0]
-        H = single.H
+        eta = etas[0]
+        H = config.H
         M = feasible.zeros()
         window = np.zeros((2 * H + 1, 3))
         x = np.zeros(3)
@@ -104,9 +126,7 @@ class TestScreamControlRound:
         loop = ClosedLoop(LinearSystem(np.array([[0.5]]), np.array([[1.0]])), np.zeros((1, 1)))
         feasible = DacFeasibleSet(np.array([0.4]), 1, 1)
         constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 1, 1, 1)
-        pool = type(build_step_size_pool(2, 1, 1, 0))((0.1, 0.2))
-        config = ControlConfig(T=2, constants=constants, pool=pool, meta_rate=0.5,
-                               lam_multiplier=0.0)
+        config = ControlConfig(T=2, constants=constants, lam_multiplier=0.0)
         costs = [QuadraticTrackingCost(np.array([1.0]), control_weight=0.1) for _ in range(2)]
         w = np.array([[0.3], [-0.2]])
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
@@ -147,9 +167,10 @@ class TestScreamControlRound:
 
         monkeypatch.setattr(ScreamControl, "decide", recording_decide)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
-        assert run.weights.shape == (40, config.pool.n)
+        n = len(config.tuning()[0])
+        assert run.weights.shape == (40, n)
         assert np.array_equal(run.weights, seen)
-        assert np.all(run.weights[:config.H + 1] == nonuniform_prior(config.pool.n))  # warm-up
+        assert np.all(run.weights[:config.H + 1] == nonuniform_prior(n))  # warm-up
         entropies = [row["meta_entropy"] for row in control_trajectory_rows(run)]
         assert entropies == pytest.approx([-np.sum(p * np.log(p)) for p in seen], rel=1e-12)
 

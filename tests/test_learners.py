@@ -15,24 +15,23 @@ class TestStepSizePool:
     def test_reference_pool(self):
         # N = ceil(log2(101)/2) + 1 = 5 and eta_1 = sqrt(4 / 400) = 0.1
         pool = build_step_size_pool(100, 2.0, 2.0, 0.0)
-        assert pool.n == 5
-        assert pool.etas == pytest.approx((0.1, 0.2, 0.4, 0.8, 1.6), rel=1e-12)
+        assert pool.shape == (5,)
+        assert pool == pytest.approx((0.1, 0.2, 0.4, 0.8, 1.6), rel=1e-12)
 
     def test_one_round_horizon(self):
         # ceil(log2(2)/2) + 1 = 2 entries
         pool = build_step_size_pool(1, 2.0, 1.0, 0.0)
-        assert pool.n == 2
+        assert pool.shape == (2,)
 
     def test_geometric_ratio_exactly_two(self, rng):
         for _ in range(50):
             T = int(rng.integers(1, 100000))
             pool = build_step_size_pool(T, float(rng.uniform(0.5, 5)),
                                         float(rng.uniform(0.5, 5)), float(rng.uniform(0, 10)))
-            etas = np.asarray(pool.etas)
-            assert pool.n == pool_size(T)
-            assert np.all(np.diff(etas) > 0)
-            assert np.all(etas[1:] / etas[:-1] == 2.0)
-            assert etas[-1] / etas[0] == 2.0 ** (pool.n - 1)
+            assert pool.shape == (pool_size(T),)
+            assert np.all(np.diff(pool) > 0)
+            assert np.all(pool[1:] / pool[:-1] == 2.0)
+            assert pool[-1] / pool[0] == 2.0 ** (len(pool) - 1)
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ContractViolation):
@@ -92,11 +91,11 @@ class TestScream:
         T, d = 12, 2
         xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
         pool = build_step_size_pool(1, 2.0, 1.0, 0.5)
-        single = ScreamConfig(T=T, grad_bound=1.0, diameter=2.0, lam=0.5,
-                              pool=type(pool)((pool.etas[0],)))
         domain = DomainBall(d, 2.0)
-        run = run_online(Scream(single, domain), SquareLossStream(xs, ys))
-        ogd_run = run_online(OgdMemory(pool.etas[0], domain), SquareLossStream(xs, ys))
+        rate = scream_meta_rate(T, 2.0, 1.0, 0.5)
+        single = MetaExpertLearner(pool[:1], nonuniform_prior(1), rate, 0.5, (d,), domain.project_rows)
+        run = run_online(single, SquareLossStream(xs, ys))
+        ogd_run = run_online(OgdMemory(pool[0], domain), SquareLossStream(xs, ys))
         assert np.allclose(run.decisions, ogd_run.decisions, atol=1e-14)
 
     def test_zero_gradient_stream_freezes_everything(self):
@@ -116,9 +115,8 @@ class TestScream:
         # independent step-by-step recomputation with explicit scalar arithmetic
         T, D, G, lam = 2, 2.0, 1.0, 0.5
         config = ScreamConfig(T=T, grad_bound=G, diameter=D, lam=lam)
-        assert config.pool.n == 2
-        eta = np.asarray(config.pool.etas)
-        eps = config.meta_rate
+        eta, _, eps, _ = config.tuning()
+        assert eta.shape == (2,)
         assert eta[0] == pytest.approx(math.sqrt(4.0 / ((lam * G + G * G) * T)), rel=1e-15)
         assert eps == pytest.approx(math.sqrt(2.0 / ((2 * lam + G) * (lam + G) * D * D * T)), rel=1e-15)
 
@@ -178,7 +176,7 @@ class TestScream:
 class TestMetaExpertEngine:
     def engine(self, shape, project):
         pool = build_step_size_pool(40, 2.0, 1.0, 0.5)
-        return MetaExpertLearner(pool, nonuniform_prior(pool.n), 0.3, 0.5, shape, project)
+        return MetaExpertLearner(pool, nonuniform_prior(len(pool)), 0.3, 0.5, shape, project)
 
     def test_parameter_shape_only_reshapes(self, rng):
         # a (2, 3) parameter runs the same arithmetic as its flattened (6,) twin
@@ -208,6 +206,45 @@ class TestMetaExpertEngine:
         assert np.array_equal(by_loss.experts, by_step.experts)
         assert np.array_equal(by_loss.weights, by_step.weights)
 
+    @pytest.mark.parametrize("etas, prior", [
+        ([], []),                                  # empty pool
+        ([0.1, 0.0], [0.5, 0.5]),                  # a zero step size
+        ([0.1, -0.2], [0.5, 0.5]),                 # a negative step size
+        ([0.1, np.nan], [0.5, 0.5]),               # a step size that is not a number
+        ([[0.1, 0.2]], [0.5, 0.5]),                # a 2-D pool
+        ([0.1, 0.2], [1.0]),                       # prior shorter than the pool
+        ([0.1, 0.2], [0.5, 0.25, 0.25]),           # prior longer than the pool
+    ])
+    def test_rejects_a_bad_pool_or_prior(self, etas, prior):
+        ball = DomainBall(2, 2.0)
+        with pytest.raises(ContractViolation):
+            MetaExpertLearner(etas, prior, 0.3, 0.5, (2,), ball.project_rows)
+
+
+class TestScreamConfig:
+    @pytest.mark.parametrize("T, grad_bound, diameter, lam", [
+        (0, 1.0, 2.0, 0.5),
+        (10, 1.0, 2.0, -0.1),
+        (10, 1.0, 0.0, 0.5),
+        (10, 1.0, -2.0, 0.5),
+        (10, 0.0, 2.0, 0.5),
+        (10, 1.0, 2.0, math.nan),
+        (10, 1.0, math.nan, 0.5),
+    ])
+    def test_bad_tuning_inputs_raise_at_construction(self, T, grad_bound, diameter, lam):
+        with pytest.raises(ContractViolation):
+            ScreamConfig(T, grad_bound, diameter, lam)
+
+    def test_tuning_row_is_the_engine_of_scream(self):
+        config = ScreamConfig(T=300, grad_bound=1.5, diameter=2.0, lam=0.4)
+        etas, prior, rate, lam = config.tuning()
+        assert np.array_equal(etas, build_step_size_pool(300, 2.0, 1.5, 0.4))
+        assert np.array_equal(prior, nonuniform_prior(len(etas)))
+        assert rate == scream_meta_rate(300, 2.0, 1.5, 0.4) and lam == 0.4
+        learner = Scream(config, DomainBall(3, 2.0))
+        assert np.array_equal(learner.etas, etas) and np.array_equal(learner.weights, prior)
+        assert learner.meta_rate == rate and learner.surrogate_lam == lam
+
 
 class TestAder:
     def test_surrogate_has_no_movement_term(self, rng):
@@ -236,17 +273,13 @@ class TestAder:
         xs, ys = rng.standard_normal((T, d)), rng.standard_normal(T)
         base = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.0)
         ader = Ader(base, DomainBall(d, 2.0))
-        twin_config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.0,
-                                   pool=ader_pool(base), meta_rate=ader.meta_rate)
-        twin = Scream(twin_config, DomainBall(d, 2.0))
+        twin = Scream(base, DomainBall(d, 2.0))  # at lam = 0 both learners build the same pool
+        assert np.array_equal(twin.etas, ader.etas)
         twin.weights = np.full(twin.n_experts, 1.0 / twin.n_experts)
+        twin.meta_rate = ader.meta_rate
         run_a = run_online(ader, SquareLossStream(xs, ys))
         run_b = run_online(twin, SquareLossStream(xs, ys))
         assert np.array_equal(run_a.decisions, run_b.decisions)
-
-
-def ader_pool(config):
-    return build_step_size_pool(config.T, config.diameter, config.grad_bound, 0.0)
 
 
 class TestOgdMemory:
