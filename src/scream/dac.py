@@ -106,12 +106,50 @@ class DacFeasibleSet:
             raise ContractViolation(
                 f"expected trailing shape {(self.H, self.d_u, self.d_x)}, got {M.shape}")
 
+    def _gram(self, M: np.ndarray):
+        """Closed-form spectra of the blocks whose short side k = min(d_u, d_x) is 1 or 2.
+
+        Returns (W, s1_sq, G, half, r), with W each block viewed with its short
+        side as rows and s1_sq its squared largest singular value.  For k = 1,
+        s1_sq is the squared row norm and the rest is None.  For k = 2 the Gram
+        matrix G = W W^T = [[a, b], [b, c]] gives half = (a - c) / 2,
+        r = hypot(half, b) and s1_sq = (a + c) / 2 + r.  Returns None where the
+        SVD must serve: for k >= 3, and when some s1_sq is not finite (a
+        non-finite block, or one whose square overflows).
+        """
+        if min(self.d_u, self.d_x) > 2:
+            return None
+        W = M if self.d_u <= self.d_x else np.swapaxes(M, -1, -2)
+        if W.shape[-2] == 1:
+            s1_sq, G, half, r = np.einsum("...ij,...ij->...", W, W), None, None, None
+        else:
+            G = W @ np.swapaxes(W, -1, -2)
+            a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+            half = 0.5 * (a - c)
+            r = np.hypot(half, b)
+            s1_sq = 0.5 * (a + c) + r
+        if not np.isfinite(s1_sq).all():
+            return None
+        return W, s1_sq, G, half, r
+
     def spectral_norms(self, M) -> np.ndarray:
+        """Largest singular value of every block; NaN for a block with a non-finite entry.
+
+        Blocks with a short side of 1 or 2 take the closed form of
+        :meth:`_gram`, others a batched SVD.
+        """
         M = np.asarray(M, dtype=float)
         self._check_shape(M)
-        return np.linalg.svd(M, compute_uv=False)[..., 0]
+        gram = self._gram(M)
+        if gram is not None:
+            return np.sqrt(gram[1])
+        finite = np.isfinite(M).all(axis=(-2, -1))
+        norms = np.full(finite.shape, np.nan)
+        norms[finite] = np.linalg.svd(M[finite], compute_uv=False)[..., 0]
+        return norms
 
     def contains(self, M, tol: float = 1e-9) -> bool:
+        """Every block's spectral norm within its cap plus ``tol``; False for a non-finite block."""
         return bool(np.all(self.spectral_norms(M) <= self.caps + tol))
 
     def project(self, M) -> np.ndarray:
@@ -119,19 +157,45 @@ class DacFeasibleSet:
 
         Blocks are independent, so the projection decomposes per block; leading
         batch dimensions (e.g. one parameter set per expert) are supported.
+        A block with a short side of 1 is rescaled.  A block with a short side
+        of 2 is multiplied by P = f2 I + (f1 - f2) u1 u1^T, where u1 u1^T =
+        [[r + half, b], [b, r - half]] / (2 r) projects onto the leading left
+        singular vector (0 when r = 0), f_i = cap / s_i where s_i > cap and
+        exactly 1 elsewhere, and s2 = sqrt(max(ac - b^2, 0)) / s1.  Larger
+        blocks take a batched SVD.  A block with a non-finite entry raises
+        :class:`ContractViolation`.
         """
         M = np.asarray(M, dtype=float)
         self._check_shape(M)
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
-        clipped = np.minimum(s, self.caps[..., :, None])
-        return np.einsum("...ij,...j,...jk->...ik", u, clipped, vt)
+        gram = self._gram(M)
+        if gram is None:
+            if not np.isfinite(M).all():
+                raise ContractViolation("cannot project a DAC parameter set with non-finite entries")
+            u, s, vt = np.linalg.svd(M, full_matrices=False)
+            clipped = np.minimum(s, self.caps[..., :, None])
+            return np.einsum("...ij,...j,...jk->...ik", u, clipped, vt)
+        W, s1_sq, G, half, r = gram
+        caps = self.caps
+        s1 = np.sqrt(s1_sq)
+        f1 = caps / np.maximum(s1, caps)  # cap / s1 where s1 > cap, exactly 1 elsewhere
+        if G is None:
+            return M * f1[..., None, None]
+        a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+        # dividing by max(s1, cap) keeps zero blocks finite; where s1 <= cap, s2 <= cap anyway
+        s2 = np.sqrt(np.maximum(a * c - b * b, 0.0)) / np.maximum(s1, caps)
+        f2 = caps / np.maximum(s2, caps)
+        g = (f1 - f2) / (2.0 * np.where(r > 0, r, 1.0))  # r = 0 makes r ± half and b all 0
+        P = np.empty(G.shape)
+        P[..., 0, 0] = f2 + g * (r + half)
+        P[..., 1, 1] = f2 + g * (r - half)
+        P[..., 0, 1] = P[..., 1, 0] = g * b
+        return P @ M if W is M else M @ P  # short columns: (P W)^T = M P, as P is symmetric
 
     def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         """A random feasible parameter set (uniform block directions, scaled caps)."""
         raw = rng.standard_normal((self.H, self.d_u, self.d_x))
-        norms = np.linalg.svd(raw, compute_uv=False)[:, 0]
         levels = rng.uniform(0, scale, self.H) * self.caps
-        return raw * (levels / np.maximum(norms, 1e-12))[:, None, None]
+        return raw * (levels / np.maximum(self.spectral_norms(raw), 1e-12))[:, None, None]
 
 
 def dac_action(K, M, x, lags) -> np.ndarray:

@@ -60,27 +60,30 @@ def check_ball_projection(rng, cases: int = 1000):
 
 
 def check_dac_projection(rng, cases: int = 60, samples: int = 200, sample_every: int = 1):
-    """Feasible and idempotent on every case.
+    """Feasible and idempotent on every case, for (4, 2, 3) and then (4, 1, 3) parameter sets.
 
-    Every ``sample_every``-th case is also checked against ``samples`` random
-    feasible points: none may lie closer to the raw point than its projection.
+    The two shapes reach the short-side-2 and short-side-1 closed forms of
+    :meth:`DacFeasibleSet.project`.  Every ``sample_every``-th case of each
+    is also checked against ``samples`` random feasible points: none may lie
+    closer to the raw point than its projection.
     """
-    feasible = DacFeasibleSet.from_certificate(1.0, 0.4, 1.0, 4, 2, 3)
-    for case in range(cases):
-        raw = rng.standard_normal((4, 2, 3)) * float(rng.uniform(0.2, 4))
-        proj = feasible.project(raw)
-        if not feasible.contains(proj):
-            return False, "projection infeasible"
-        if not np.max(np.abs(feasible.project(proj) - proj)) <= 1e-10:
-            return False, "projection not idempotent"
-        if case % sample_every == 0:
-            dist = np.linalg.norm(proj - raw)
-            for _ in range(samples):
-                if not np.linalg.norm(feasible.random_point(rng) - raw) >= dist - 1e-9:
-                    return False, "a random feasible point beat the projection"
+    for d_u in (2, 1):
+        feasible = DacFeasibleSet.from_certificate(1.0, 0.4, 1.0, 4, d_u, 3)
+        for case in range(cases):
+            raw = rng.standard_normal((4, d_u, 3)) * float(rng.uniform(0.2, 4))
+            proj = feasible.project(raw)
+            if not feasible.contains(proj):
+                return False, f"projection infeasible on {d_u}x3 blocks"
+            if not np.max(np.abs(feasible.project(proj) - proj)) <= 1e-10:
+                return False, f"projection not idempotent on {d_u}x3 blocks"
+            if case % sample_every == 0:
+                dist = np.linalg.norm(proj - raw)
+                for _ in range(samples):
+                    if not np.linalg.norm(feasible.random_point(rng) - raw) >= dist - 1e-9:
+                        return False, f"a random feasible point beat the projection on {d_u}x3 blocks"
     sampled = len(range(0, cases, sample_every))
-    return True, (f"{cases} DAC projections feasible and idempotent; {sampled} of them "
-                  f"no farther than any of {samples} random feasible points")
+    return True, (f"{cases} DAC projections each of 2x3 and 1x3 blocks feasible and idempotent; "
+                  f"{sampled} of each no farther than any of {samples} random feasible points")
 
 
 def check_switching_decomposition(rng, cases: int = 1000):

@@ -428,6 +428,113 @@ class TestProjection:
             assert np.allclose(out[i], feasible.project(batch[i]), atol=1e-12)
 
 
+def svd_project(M, caps):
+    """Test-side reference: clip every block's singular values with numpy's SVD."""
+    u, s, vt = np.linalg.svd(M, full_matrices=False)
+    return np.einsum("...ij,...j,...jk->...ik", u, np.minimum(s, caps[:, None]), vt)
+
+
+def with_singular_values(rng, shape, values):
+    """Blocks U diag(values) V^T of trailing ``shape`` with random orthonormal U and V."""
+    d_u, d_x = shape
+    k = min(shape)
+    u = np.linalg.qr(rng.standard_normal((d_u, d_u)))[0][:, :k]
+    v = np.linalg.qr(rng.standard_normal((d_x, d_x)))[0][:, :k]
+    return (u * np.asarray(values)[:k]) @ v.T
+
+
+CLOSED_FORM_SHAPES = [(1, 3), (2, 3), (3, 2), (3, 1), (3, 3)]
+
+
+class TestClosedFormProjection:
+    """The short-side-1 and -2 closed forms against an SVD reference written here."""
+
+    CAPS = np.array([0.8, 0.5, 0.3, 0.2])
+
+    def stacks(self, rng, shape):
+        """Named parameter sets (H = 4) covering the closed form's edge cases."""
+        d_u, d_x = shape
+        H, caps = len(self.CAPS), self.CAPS
+        rank_one = np.einsum("hi,hj->hij", rng.standard_normal((H, d_u)), rng.standard_normal((H, d_x)))
+        zero_row = rng.standard_normal((H, d_u, d_x)) * 3
+        if d_u <= d_x:
+            zero_row[:, -1, :] = 0.0
+        else:
+            zero_row[:, :, -1] = 0.0
+        eye = np.eye(d_u, d_x)
+        return {
+            "random": rng.standard_normal((H, d_u, d_x)) * rng.uniform(0.1, 4, (H, 1, 1)),
+            "rank one": rank_one,
+            "near rank one 1e-6": rank_one + 1e-6 * rng.standard_normal((H, d_u, d_x)),
+            "near rank one 1e-9": rank_one + 1e-9 * rng.standard_normal((H, d_u, d_x)),
+            "near rank one 1e-12": rank_one + 1e-12 * rng.standard_normal((H, d_u, d_x)),
+            "s2 above cap": np.stack([with_singular_values(rng, shape, (4 * c, 2 * c, 1.5 * c))
+                                      for c in caps]),
+            "equal values above cap": np.stack([with_singular_values(rng, shape, (3 * c,) * 3)
+                                                for c in caps]),
+            "equal values below cap": np.stack([with_singular_values(rng, shape, (0.5 * c,) * 3)
+                                                for c in caps]),
+            "scaled identity": eye * np.array([2.0, 0.1, 1.0, 0.3])[:, None, None],
+            "zero blocks": np.zeros((H, d_u, d_x)),
+            "zero row": zero_row,
+            "mixed": np.stack([np.zeros((d_u, d_x)), rank_one[1], eye * 5, rng.standard_normal((d_u, d_x))]),
+        }
+
+    @pytest.mark.parametrize("shape", CLOSED_FORM_SHAPES)
+    @pytest.mark.parametrize("lead", [(), (6,)])
+    def test_matches_svd_reference(self, rng, shape, lead):
+        feasible = DacFeasibleSet(self.CAPS, *shape)
+        for name, M in self.stacks(rng, shape).items():
+            M = np.broadcast_to(M, lead + M.shape) * rng.uniform(0.5, 2, lead + (1, 1, 1))
+            scale = max(float(np.abs(M).max()), 1e-300)
+            out = feasible.project(M)
+            np.testing.assert_allclose(out, svd_project(M, self.CAPS), rtol=0, atol=1e-13 * scale,
+                                       err_msg=name)
+            reference = np.linalg.svd(M, compute_uv=False)[..., 0]
+            np.testing.assert_allclose(feasible.spectral_norms(M), reference, rtol=1e-13,
+                                       atol=0, err_msg=name)
+            np.testing.assert_allclose(feasible.project(out), out, rtol=0, atol=1e-13 * scale,
+                                       err_msg=name)
+            assert feasible.contains(out, tol=1e-12), name
+
+    @pytest.mark.parametrize("shape", CLOSED_FORM_SHAPES[:4])
+    def test_closed_form_runs_no_svd(self, rng, shape, monkeypatch):
+        feasible = DacFeasibleSet(self.CAPS, *shape)
+        M = rng.standard_normal((5, 4) + shape) * 3
+        want = svd_project(M, self.CAPS), np.linalg.svd(M, compute_uv=False)[..., 0]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the closed form called np.linalg.svd")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        np.testing.assert_allclose(feasible.project(M), want[0], rtol=0, atol=1e-13 * np.abs(M).max())
+        np.testing.assert_allclose(feasible.spectral_norms(M), want[1], rtol=1e-13, atol=0)
+        assert feasible.contains(feasible.random_point(rng))
+
+    def test_overflowing_square_falls_back_to_svd(self, rng):
+        feasible = DacFeasibleSet(self.CAPS, 2, 3)
+        M = rng.standard_normal((4, 2, 3)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow before the SVD runs
+            out, norms = feasible.project(M), feasible.spectral_norms(M)
+        np.testing.assert_allclose(out, svd_project(M, self.CAPS), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(norms, np.linalg.svd(M, compute_uv=False)[:, 0], rtol=1e-13)
+
+    @pytest.mark.parametrize("shape", CLOSED_FORM_SHAPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block(self, rng, shape, bad):
+        feasible = DacFeasibleSet(self.CAPS, *shape)
+        M = feasible.random_point(rng, scale=0.5)
+        assert feasible.contains(M)
+        M[2, 0, -1] = bad
+        assert not feasible.contains(M)
+        assert not feasible.contains(np.stack([M, feasible.zeros()]))
+        norms = feasible.spectral_norms(M)
+        assert np.isnan(norms[2]) and np.all(np.isfinite(np.delete(norms, 2)))
+        with pytest.raises(ContractViolation):
+            feasible.project(M)
+        with pytest.raises(ContractViolation):
+            feasible.project(np.stack([feasible.zeros(), M]))
+
+
 class TestLipschitzConstants:
     def test_reference_state_bound(self):
         # kappa = kappa_B = W = G_c = 1, gamma = 0.5, H = 1:
