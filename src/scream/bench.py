@@ -58,21 +58,8 @@ def oco_learner(config: ExperimentConfig, algorithm: str, lam: float):
 
 
 def worker_count() -> int:
-    """Pool size: ``SCREAM_WORKERS`` (an integer >= 1) if set, else 4; at most the cpu count.
-
-    A value that is not an integer >= 1 raises ``ValueError``.
-    """
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("SCREAM_WORKERS")
-    if not env:
-        return min(4, cpus)
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SCREAM_WORKERS must be an integer >= 1, got {env!r}")
-    return min(workers, cpus)
+    """Pool size: 4, at most the cpu count (``run_benchmark(parallel=False)`` runs no pool)."""
+    return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +74,6 @@ class ExperimentConfig:
     diameter: float = 2.0         # D
     noise_low: float = 0.0
     noise_high: float = 0.1
-    truth_radius: float | None = None  # None: derived, see model_radius
     alphas: tuple[float, ...] = (0.1, 0.5, 1.0)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -112,19 +98,19 @@ class ExperimentConfig:
                 and self.noise_low <= self.noise_high):
             raise ContractViolation("noise bounds must be finite with noise_low <= noise_high, "
                                     f"got [{self.noise_low}, {self.noise_high}]")
-        if not 0 < self.model_radius <= self.max_model_radius:
+        if not self.model_radius > 0:
             raise ContractViolation(
                 "truth radius must lie in (0, D/2] and keep Gamma^2 (D/2 + r) + |noise| Gamma <= G "
                 f"with noise in [{self.noise_low:g}, {self.noise_high:g}], so r <= "
-                f"{self.max_model_radius:.6g}; got {self.model_radius:.6g}")
+                f"{self.model_radius:.6g}, which leaves no valid radius")
 
     @property
     def grad_bound(self) -> float:
         return self.diameter * self.feature_radius ** 2  # G = D * Gamma^2
 
     @property
-    def max_model_radius(self) -> float:
-        """The largest truth radius r that keeps the worst-case gradient norm within G.
+    def model_radius(self) -> float:
+        """Radius of the ground-truth models: the largest r that keeps every gradient within G.
 
         That is Gamma^2 (D/2 + r) + |noise| * Gamma <= G = D * Gamma^2, with
         |noise| at most max(|noise_low|, |noise_high|), and r at most D/2.
@@ -133,11 +119,6 @@ class ExperimentConfig:
         bound = ((self.grad_bound - noise * self.feature_radius)
                  / self.feature_radius ** 2 - self.diameter / 2.0)
         return min(bound, self.diameter / 2.0)
-
-    @property
-    def model_radius(self) -> float:
-        """Radius of the ground-truth models: ``truth_radius``, or the largest valid one when None."""
-        return self.max_model_radius if self.truth_radius is None else self.truth_radius
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -164,8 +145,8 @@ def gen_piecewise_regression(config: ExperimentConfig, seed: int) -> RegressionS
     """Features uniform in the Gamma-ball; targets from a segment-wise model plus noise.
 
     The ground-truth model is redrawn every ``segment_length`` rounds from the
-    ball of radius ``model_radius``, by default the largest value keeping the
-    declared gradient bound valid for every feasible decision.
+    ball of radius ``model_radius``, the largest value keeping the declared
+    gradient bound valid for every feasible decision.
     """
     rng = np.random.default_rng(seed)
     T, d = config.T, config.d

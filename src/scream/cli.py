@@ -10,9 +10,8 @@ Configuration files are flat ``key = value`` text; command-line flags override
 file values.  Exit code 0 on full success; 2 when some cells (or sysid-bench
 trials) failed, which ``failures.txt`` in the output directory records, or when
 the configuration is invalid (an unknown key, a value of the wrong type, a
-value outside its contract, a ``SCREAM_WORKERS`` that is not an integer >= 1
-for oco-bench), which prints one ``scream: error: ...`` line on stderr and runs
-nothing; 1 when a verification check failed.
+value outside its contract), which prints one ``scream: error: ...`` line on
+stderr and runs nothing; 1 when a verification check failed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 from dataclasses import fields, replace
 
 from .bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
-                    run_control_benchmark, run_sysid_benchmark, worker_count)
+                    run_control_benchmark, run_sysid_benchmark)
 from .verify import run_verification
 
 
@@ -50,8 +49,6 @@ def _coerce(value: str, like):
         if value.lower() not in _BOOLEANS:
             raise ValueError("expected true/false, yes/no, on/off or 1/0")
         return _BOOLEANS[value.lower()]
-    if like is None:  # an optional number left to be derived, e.g. truth_radius
-        return float(value)
     if isinstance(like, int):
         return int(value)
     if isinstance(like, float):
@@ -134,9 +131,7 @@ def _config(args):
             updates["T"] = args.T
         if args.per_round:
             updates["per_round"] = True
-        config = apply_updates(ExperimentConfig(), updates)
-        worker_count()  # a bad SCREAM_WORKERS fails here, before any cell runs
-        return config
+        return apply_updates(ExperimentConfig(), updates)
     if args.command == "control-bench":
         if args.T is not None:
             updates["T"] = args.T

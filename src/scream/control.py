@@ -200,15 +200,13 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
         raise ContractViolation("comparator parameters leave the feasible set")
 
     K = run.controller.loop.K
-    lam = run.controller.config.lam
     replay = simulate_dac(plant, K, comp, run.disturbances, x0=run.states[0], costs=run.costs)
     cumulative = float(np.sum(run.cost_values))
     return RegretReport(
         cumulative_loss=cumulative,
-        switching_cost=lam * run.param_switching(),
+        switching_cost=run.controller.config.lam * run.param_switching(),
         dynamic_policy_regret=cumulative - float(np.sum(replay.costs)),
         path_length=path_length(comp.reshape(run.T, -1)),
-        lam=lam,
     )
 
 

@@ -7,7 +7,7 @@ when the dynamics matrices are known, which the controllers rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,13 +16,15 @@ from .oco import ContractViolation, clip_to_ball
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dynamics pair (A, B) with declared operator-norm and disturbance bounds."""
+    """Dynamics pair (A, B) with a declared disturbance bound ``w_bound``.
+
+    ``kappa_B`` is derived, not set: the operator norm of B, floored at 1e-12.
+    """
 
     A: np.ndarray
     B: np.ndarray
-    kappa_A: float = None  # type: ignore[assignment]
-    kappa_B: float = None  # type: ignore[assignment]
     w_bound: float = 1.0
+    kappa_B: float = field(init=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -33,14 +35,7 @@ class LinearSystem:
             raise ContractViolation("B must have the same number of rows as A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        norm_A = float(np.linalg.norm(A, 2))
-        norm_B = float(np.linalg.norm(B, 2))
-        if self.kappa_A is None:
-            object.__setattr__(self, "kappa_A", norm_A)
-        if self.kappa_B is None:
-            object.__setattr__(self, "kappa_B", max(norm_B, 1e-12))
-        if norm_A > self.kappa_A * (1 + 1e-9) or norm_B > self.kappa_B * (1 + 1e-9):
-            raise ContractViolation("operator norms exceed the declared bounds")
+        object.__setattr__(self, "kappa_B", max(float(np.linalg.norm(B, 2)), 1e-12))
 
     @property
     def d_x(self) -> int:

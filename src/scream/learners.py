@@ -83,16 +83,16 @@ def hedge_step(weights, losses, rate: float) -> np.ndarray:
     total = w.sum()
     if not np.isfinite(total) or total <= 0:
         raise ContractViolation("hedge update produced a degenerate weight vector")
-    if total != 1.0:
-        w = w / total
-    return w
+    return w / total
 
 
-def surrogate_losses(experts_now: np.ndarray, experts_prev: np.ndarray,
+def surrogate_losses(experts: np.ndarray, movement: np.ndarray,
                      gradient: np.ndarray, lam: float) -> np.ndarray:
-    """Per-expert meta loss <g, w_i> + lam * ||w_i - w_i_prev||_2 (one shared gradient)."""
-    movement = np.linalg.norm(experts_now - experts_prev, axis=1)
-    return experts_now @ np.asarray(gradient, dtype=float) + lam * movement
+    """Per-expert meta loss <g, w_i> + lam * ||w_i - w_i_prev||_2 (one shared gradient).
+
+    ``movement`` holds each expert's last step ||w_i - w_i_prev||_2.
+    """
+    return experts @ np.asarray(gradient, dtype=float) + lam * movement
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ class MetaExpertLearner:
     The one engine of both the OCO learners and the controller.  Each expert
     is a point of shape ``shape``, stored flat as a row of an (n, P) array;
     ``project`` maps an (n, *shape) array of stepped experts back into the
-    feasible set.  Experts start at the origin and the previous-decision
-    buffer starts equal to the experts, so the movement penalty of the first
+    feasible set.  Experts start at the origin and ``movement``, each
+    expert's last step, starts at zero, so the movement penalty of the first
     round is zero.
 
     ``etas`` is the step-size pool, one positive step size per expert (a
@@ -149,7 +149,7 @@ class MetaExpertLearner:
         self.shape = tuple(shape)
         self.project = project
         self.flat = np.zeros((len(etas), math.prod(self.shape)))
-        self.prev_flat = self.flat.copy()
+        self.movement = np.zeros(len(etas))
         self.weights = prior.copy()
         self.meta_rate = float(meta_rate)
         self.surrogate_lam = float(surrogate_lam)
@@ -180,17 +180,17 @@ class MetaExpertLearner:
         g = np.asarray(gradient, dtype=float).reshape(-1)
         self.grad_evals += 1
 
-        ell = surrogate_losses(self.flat, self.prev_flat, g, self.surrogate_lam)
+        ell = surrogate_losses(self.flat, self.movement, g, self.surrogate_lam)
         new_weights = hedge_step(self.weights, ell, self.meta_rate)
         moved = float(np.abs(new_weights - self.weights).sum())
         self.meta_movement_slack = max(self.meta_movement_slack,
                                        moved - self.meta_rate * float(np.max(np.abs(ell))))
         self.weights = new_weights
 
-        self.prev_flat = self.flat
         stepped = (self.flat - self.etas[:, None] * g[None, :]).reshape(self.experts.shape)
         stepped = self.project(stepped).reshape(self.flat.shape)
-        self.expert_switching += np.linalg.norm(stepped - self.flat, axis=1)
+        self.movement = np.linalg.norm(stepped - self.flat, axis=1)
+        self.expert_switching += self.movement
         self.flat = stepped
         self.rounds += 1
 

@@ -155,7 +155,6 @@ class RegretReport:
     switching_cost: float
     dynamic_policy_regret: float
     path_length: float
-    lam: float
 
     @property
     def overall_loss(self) -> float:
@@ -180,5 +179,4 @@ def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float)
         switching_cost=lam * path_length(w),
         dynamic_policy_regret=cumulative - comparator_cum,
         path_length=path_length(v),
-        lam=lam,
     )

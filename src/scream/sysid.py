@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlConfig, ControlRun, run_scream_control
-from .dac import ClosedLoop, DacFeasibleSet
+from .dac import ClosedLoop
 from .lds import LinearSystem, Trajectory, certify_strong_stability, closed_loop_rollout
 from .oco import ContractViolation
 
@@ -145,8 +145,7 @@ class PipelineRun:
 
 def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig,
                          control_config: ControlConfig, costs, disturbances,
-                         seed: int = 0, feasible: DacFeasibleSet | None = None,
-                         inject_system: LinearSystem | None = None) -> PipelineRun:
+                         seed: int = 0, inject_system: LinearSystem | None = None) -> PipelineRun:
     """Explore for T0 rounds (costs counted), then control against the estimated dynamics.
 
     The committed phase believes the estimate (including disturbance recovery,
@@ -170,7 +169,6 @@ def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig
             f"controller is not strongly stable on the estimated system: {certificate.reason}")
     believed = ClosedLoop(believed_system, K, certificate)
     phase2 = run_scream_control(believed, plant, disturbances[T0:], costs[T0:],
-                                control_config, feasible=feasible,
-                                x0=identified.exploration.states[-1])
+                                control_config, x0=identified.exploration.states[-1])
     return PipelineRun(identified, moments,
                        float(np.sum(identified.exploration.costs)), phase2)

@@ -214,11 +214,11 @@ CHECKS = (
 )
 
 
-def run_verification(seed: int = 0, out=print) -> bool:
+def run_verification(seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     all_ok = True
     for name, fn in CHECKS:
         ok, detail = fn(rng)
         all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -98,8 +98,7 @@ class TestRunBenchmark:
         assert len(rows) == len(ALGORITHMS) * 2  # 3 algorithms x 2 seeds x 1 alpha
         assert list(rows[0].keys()) == list(RESULT_COLUMNS)
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCREAM_WORKERS", "2")
+    def test_parallel_matches_serial(self, tmp_path):
         serial = run_benchmark(tiny_config(tmp_path, outdir=str(tmp_path / "a")), parallel=False)
         parallel = run_benchmark(tiny_config(tmp_path, outdir=str(tmp_path / "b")), parallel=True)
         for left, right in zip(serial.rows, parallel.rows):
@@ -369,9 +368,10 @@ def test_cli_exit_code_two_on_partial_failure(tmp_path, monkeypatch):
 
 
 class TestWorkerCount:
+    # SCREAM_WORKERS is no setting: whatever it holds, the pool is min(4, cpu count)
     @pytest.mark.parametrize("env, cpus, expected", [
         (None, 2, 2), (None, 8, 4), (None, None, 1), ("", 8, 4),
-        ("3", 8, 3), ("3", 2, 2), ("64", 4, 4), (" 2 ", 8, 2), ("1", 1, 1),
+        ("3", 2, 2), ("64", 4, 4), ("1", 1, 1), ("abc", 8, 4), ("abc", 2, 2),
     ])
     def test_value_and_caps(self, monkeypatch, env, cpus, expected):
         import scream.bench as bench_mod
@@ -380,15 +380,7 @@ class TestWorkerCount:
         else:
             monkeypatch.setenv("SCREAM_WORKERS", env)
         monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: cpus)
-        assert bench_mod.worker_count() == expected
-
-    @pytest.mark.parametrize("env", ["abc", "0", "-2", "2.5", "4 workers"])
-    def test_bad_values_rejected(self, monkeypatch, env):
-        import scream.bench as bench_mod
-        monkeypatch.setenv("SCREAM_WORKERS", env)
-        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 8)
-        with pytest.raises(ValueError, match="SCREAM_WORKERS must be an integer >= 1"):
-            bench_mod.worker_count()
+        assert bench_mod.worker_count() == expected == min(4, cpus or 1)
 
     def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
         # a stand-in pool records its size and maps in this process: nothing is spawned
@@ -412,7 +404,6 @@ class TestWorkerCount:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 16)
-        monkeypatch.setenv("SCREAM_WORKERS", "8")
         config = tiny_config(tmp_path, T=60, algorithms=("ogd",))  # 2 cells
         result = bench_mod.run_benchmark(config, parallel=True)
         assert result.ok and len(result.rows) == 2

@@ -50,7 +50,6 @@ def test_apply_updates_reads_booleans(value, expected):
     ("feature_radius", "2", 0.95),
     ("noise_high", "0.3", 0.7),
     ("noise_low", "-0.3", 0.7),  # the noise magnitude bound is max(|noise_low|, |noise_high|)
-    ("truth_radius", "0.5", 0.5),
     ("noise_high", "0.1", 0.9),  # the default config's radius
 ])
 def test_apply_updates_derives_truth_radius_from_final_values(key, value, radius):
@@ -153,10 +152,8 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench"], "diameter = 0\n", "diameter must be finite and positive"),
     (["oco-bench"], "diameter = -1\n", "diameter must be finite and positive"),
     (["oco-bench"], "diameter = nan\n", "diameter must be finite and positive"),
-    # an explicit radius within D/2 must keep the gradient bound too
-    (["oco-bench", "--serial"],
-     "T = 50\ntruth_radius = 0.5\nnoise_high = 5\nalgorithms = ogd\nalphas = 0.5\nseeds = 0\n",
-     "|noise| Gamma <= G with noise in [0, 5], so r <= -4; got 0.5"),
+    # the truth radius is derived, never set
+    (["oco-bench"], "truth_radius = 0.5\n", "unknown configuration key 'truth_radius'"),
     # an unknown preset or disturbance kind stops control-bench before any seed runs
     (["control-bench"], "preset = nope\n", "unknown system preset 'nope'"),
     (["control-bench"], "disturbance_kind = nope\n", "unknown disturbance kind 'nope'"),
@@ -228,24 +225,15 @@ def test_uncertifiable_system_is_a_failure_row_with_exit_two(tmp_path, capsys):
     assert "(1 rows, 1 failures)" in captured.out
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-def test_bad_scream_workers_is_one_error_line_with_exit_two(tmp_path, capsys, monkeypatch,
-                                                           value):
-    import scream.bench as bench_mod
-
-    def no_cells(*args, **kwargs):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr(bench_mod, "run_cell", no_cells)
-    monkeypatch.setenv("SCREAM_WORKERS", value)
+def test_oco_bench_ignores_scream_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCREAM_WORKERS", "abc")  # no longer read: the pool has no env setting
     out = tmp_path / "out"
-    code = main(["oco-bench", "--T", "60", "--seed", "0", "--out", str(out)])
+    code = main(["oco-bench", "--T", "60", "--seed", "0", "--alpha", "0.5",
+                 "--algorithms", "ogd", "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert lines == [f"scream: error: SCREAM_WORKERS must be an integer >= 1, got {value!r}"]
-    assert not out.exists()
+    assert code == 0
+    assert captured.err == ""
+    assert len(parse_csv(out / "results.csv")) == 1
 
 
 def test_sysid_bench_exit_two_on_failed_trial(tmp_path, capsys, monkeypatch):

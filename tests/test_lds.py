@@ -12,6 +12,21 @@ def scalar_system(a=0.5, b=1.0):
     return LinearSystem(np.array([[a]]), np.array([[b]]))
 
 
+class TestLinearSystem:
+    @pytest.mark.parametrize("B", [
+        np.array([[1.0, 2.0], [0.0, 0.5], [-1.0, 0.0]]),
+        np.array([[3.0], [4.0], [0.0]]),
+        np.zeros((3, 2)),
+    ])
+    def test_kappa_B_is_the_floored_operator_norm_of_B(self, B):
+        system = LinearSystem(0.5 * np.eye(3), B)
+        assert system.kappa_B == max(float(np.linalg.norm(B, 2)), 1e-12)
+
+    def test_kappa_B_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            LinearSystem(np.eye(2), np.eye(2), kappa_B=5.0)
+
+
 class TestStepDynamics:
     def test_scalar_recursion(self):
         # x' = 0.5 x + u + w starting from 0 with w = 1: 1, 1.5, 1.75
@@ -28,7 +43,7 @@ class TestStepDynamics:
         assert step_dynamics(system, np.zeros(1), np.zeros(1), np.zeros(1)) == 0.0
 
     def test_identity_accumulates_disturbance(self, rng):
-        system = LinearSystem(np.eye(3), np.zeros((3, 2)), kappa_A=1.0, kappa_B=1.0)
+        system = LinearSystem(np.eye(3), np.zeros((3, 2)))
         x = np.zeros(3)
         total = np.zeros(3)
         for _ in range(10):

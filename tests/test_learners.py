@@ -56,21 +56,21 @@ class TestNonuniformPrior:
 class TestSurrogateLosses:
     def test_lambda_zero_is_linearized(self, rng):
         now = rng.standard_normal((4, 3))
-        prev = rng.standard_normal((4, 3))
+        movement = np.abs(rng.standard_normal(4))
         g = rng.standard_normal(3)
-        assert np.allclose(surrogate_losses(now, prev, g, 0.0), now @ g, atol=0)
+        assert np.allclose(surrogate_losses(now, movement, g, 0.0), now @ g, atol=0)
 
     def test_hand_value(self):
         # <grad, w> + lam * ||w - w_prev|| = 0.5 + 2 * 0.2 = 0.9
         now = np.array([[0.5, 0.0]])
-        prev = np.array([[0.3, 0.0]])
-        out = surrogate_losses(now, prev, np.array([1.0, 0.0]), 2.0)
+        movement = np.linalg.norm(now - np.array([[0.3, 0.0]]), axis=1)
+        out = surrogate_losses(now, movement, np.array([1.0, 0.0]), 2.0)
         assert out[0] == pytest.approx(0.9, rel=1e-12)
 
     def test_stationary_expert_pays_no_penalty(self, rng):
         w = rng.standard_normal((3, 2))
         g = rng.standard_normal(2)
-        assert np.allclose(surrogate_losses(w, w.copy(), g, 5.0), w @ g, atol=0)
+        assert np.allclose(surrogate_losses(w, np.zeros(3), g, 5.0), w @ g, atol=0)
 
     def test_range_bound(self, rng):
         # |loss_i| <= (lam + G) * D on feasible experts with a G-bounded gradient
@@ -81,8 +81,20 @@ class TestSurrogateLosses:
             prev = np.array([ball.project(v) for v in rng.standard_normal((5, 3)) * 2])
             g = rng.standard_normal(3)
             g *= min(1.0, G / np.linalg.norm(g))
-            out = surrogate_losses(now, prev, g, lam)
+            out = surrogate_losses(now, np.linalg.norm(now - prev, axis=1), g, lam)
             assert np.all(np.abs(out) <= (lam + G) * D + 1e-12)
+
+    def test_engine_prices_each_experts_last_step(self, rng):
+        # the engine's movement is ||w_i - w_i_prev|| of the step it just took, zero at the start
+        T, d = 40, 3
+        learner = Scream(ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.7),
+                         DomainBall(d, 2.0))
+        assert np.array_equal(learner.movement, np.zeros(learner.n_experts))
+        for loss in SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T)):
+            before = learner.flat.copy()
+            learner.observe(loss)
+            assert np.array_equal(learner.movement,
+                                  np.linalg.norm(learner.flat - before, axis=1))
 
 
 class TestScream:
@@ -330,7 +342,7 @@ class TestMetaRegretBound:
         for loss in SquareLossStream(xs, ys):
             g = loss.grad(learner.decide())
             weights.append(learner.weights.copy())
-            ells.append(surrogate_losses(learner.flat, learner.prev_flat, g, lam))
+            ells.append(surrogate_losses(learner.flat, learner.movement, g, lam))
             learner.step(g)
         weights, ells = np.asarray(weights), np.asarray(ells)
         mixture = np.einsum("ti,ti->t", weights, ells).sum()
