@@ -77,11 +77,11 @@ def hedge_step(weights, losses, rate: float) -> np.ndarray:
     p = np.asarray(weights, dtype=float)
     ell = as_vector(losses, len(p))
     factors = np.exp(-rate * (ell - ell.min()))
-    if np.all(factors == 1.0):
+    if (factors == 1.0).all():
         return p
     w = p * factors
     total = w.sum()
-    if not np.isfinite(total) or total <= 0:
+    if not math.isfinite(total) or total <= 0:
         raise ContractViolation("hedge update produced a degenerate weight vector")
     return w / total
 
@@ -133,7 +133,12 @@ class MetaExpertLearner:
 
     ``etas`` is the step-size pool, one positive step size per expert (a
     non-empty 1-D array), and ``prior`` the initial meta weights, one per
-    expert; :meth:`ScreamConfig.tuning` derives all four tuning arguments.
+    expert, finite, non-negative and summing to one within 1e-12;
+    :meth:`ScreamConfig.tuning` derives all four tuning arguments.
+
+    :meth:`observe` takes the round's gradient at the array :meth:`decide`
+    last returned, so a round of :func:`run_online` makes one decision; after
+    a :meth:`step` with no :meth:`decide` since, it decides afresh.
     """
 
     def __init__(self, etas: np.ndarray, prior: np.ndarray, meta_rate: float,
@@ -145,10 +150,14 @@ class MetaExpertLearner:
         prior = np.asarray(prior, dtype=float)
         if prior.shape != etas.shape:
             raise ContractViolation("prior length must match the pool size")
+        if not (np.isfinite(prior).all() and (prior >= 0).all() and abs(prior.sum() - 1.0) <= 1e-12):
+            raise ContractViolation("prior must be finite, non-negative and sum to one within 1e-12")
         self.etas = etas
         self.shape = tuple(shape)
         self.project = project
         self.flat = np.zeros((len(etas), math.prod(self.shape)))
+        self._experts_shape = (len(etas),) + self.shape
+        self._decision = None  # what decide() last returned, until the next step
         self.movement = np.zeros(len(etas))
         self.weights = prior.copy()
         self.meta_rate = float(meta_rate)
@@ -166,36 +175,39 @@ class MetaExpertLearner:
     @property
     def experts(self) -> np.ndarray:
         """The experts as an (n, *shape) view."""
-        return self.flat.reshape((self.n_experts,) + self.shape)
+        return self.flat.reshape(self._experts_shape)
 
     def decide(self) -> np.ndarray:
-        # written into an array of its own shape: a reshaped view would keep a second
-        # array header alive for every decision a run records
-        decision = np.empty(self.shape)
-        np.matmul(self.weights, self.flat, out=decision.reshape(-1))
+        decision = self._decision = (self.weights @ self.flat).reshape(self.shape)
         return decision
 
     def step(self, gradient) -> None:
         """Surrogate losses, Hedge, meta slack, then the projected expert step, from one gradient."""
         g = np.asarray(gradient, dtype=float).reshape(-1)
         self.grad_evals += 1
+        self._decision = None
 
         ell = surrogate_losses(self.flat, self.movement, g, self.surrogate_lam)
         new_weights = hedge_step(self.weights, ell, self.meta_rate)
         moved = float(np.abs(new_weights - self.weights).sum())
         self.meta_movement_slack = max(self.meta_movement_slack,
-                                       moved - self.meta_rate * float(np.max(np.abs(ell))))
+                                       moved - self.meta_rate * float(np.abs(ell).max()))
         self.weights = new_weights
 
-        stepped = (self.flat - self.etas[:, None] * g[None, :]).reshape(self.experts.shape)
+        stepped = (self.flat - self.etas[:, None] * g[None, :]).reshape(self._experts_shape)
         stepped = self.project(stepped).reshape(self.flat.shape)
-        self.movement = np.linalg.norm(stepped - self.flat, axis=1)
+        moves = stepped - self.flat
+        # np.linalg.norm(moves, axis=1)'s own arithmetic, without its wrapper
+        self.movement = np.sqrt(np.add.reduce(moves * moves, axis=1))
         self.expert_switching += self.movement
         self.flat = stepped
         self.rounds += 1
 
     def observe(self, loss: SquareLoss) -> None:
-        self.step(loss.grad(self.decide()))  # the single gradient evaluation of the round
+        decision = self._decision
+        if decision is None:
+            decision = self.decide()
+        self.step(loss.grad(decision))  # the single gradient evaluation of the round
 
 
 class Scream(MetaExpertLearner):
@@ -240,7 +252,8 @@ class OgdMemory:
         gradient = loss.grad(self.point)
         self.grad_evals += 1
         new_point = self.domain.project(self.point - self.step_size * gradient)
-        self.switching += float(np.linalg.norm(new_point - self.point))
+        moved = new_point - self.point
+        self.switching += math.sqrt(float(moved.dot(moved)))  # np.linalg.norm's arithmetic
         self.point = new_point
         self.rounds += 1
 
@@ -268,11 +281,11 @@ class OcoRun:
 
 def run_online(learner, losses: SquareLossStream) -> OcoRun:
     """Drive the online protocol: decide, then reveal the round's loss oracle."""
-    decisions = []
-    for loss in losses:
-        decisions.append(np.asarray(learner.decide(), dtype=float))
-        learner.observe(loss)
-    return OcoRun(np.asarray(decisions), losses, learner)
+    decisions = np.empty(losses.X.shape)
+    for t in range(len(losses)):
+        decisions[t] = learner.decide()
+        learner.observe(losses[t])
+    return OcoRun(decisions, losses, learner)
 
 
 def trajectory_rows(run: OcoRun):

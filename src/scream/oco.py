@@ -12,6 +12,7 @@ through :func:`regret_metrics`, which prices the movement with ``lam``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,14 +29,22 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ContractViolation(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractViolation(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractViolation("vector has non-finite entries")
     return v
 
 
 def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
-    """Scale rows down to l2 norm <= bound (rows already inside are untouched)."""
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    """Scale rows down to l2 norm <= bound (rows already inside are untouched).
+
+    When every row is inside, ``vectors`` itself is returned.  A NaN norm
+    fails the comparison, so a row with a NaN takes the scaling path and
+    stays NaN.
+    """
+    # np.linalg.norm(vectors, axis=-1, keepdims=True)'s own arithmetic, without its wrapper
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
+    if (norms <= bound).all():
+        return vectors
     scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
     return vectors * scale
 
@@ -64,13 +73,14 @@ class DomainBall:
     def project(self, x) -> np.ndarray:
         """Euclidean projection: rescale onto the sphere when outside."""
         v = as_vector(x, self.dim)
-        norm = float(np.linalg.norm(v))
+        flat = v.ravel()  # contiguous, as np.linalg.norm sums it: a strided dot sums in another order
+        norm = math.sqrt(float(flat.dot(flat)))
         if norm <= self.radius:
             return v
         return v * (self.radius / norm)
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Project every row of an (n, dim) array onto the ball."""
+        """Project every row of an (n, dim) array onto the ball (``rows`` itself if all are inside)."""
         return clip_to_ball(rows, self.radius)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -93,7 +103,7 @@ class SquareLoss:
     def grad(self, w) -> np.ndarray:
         self.grad_calls += 1
         g = (float(np.dot(w, self.x)) - self.y) * self.x
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ContractViolation("gradient has non-finite entries")
         return g
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -85,16 +86,21 @@ class TestSurrogateLosses:
             assert np.all(np.abs(out) <= (lam + G) * D + 1e-12)
 
     def test_engine_prices_each_experts_last_step(self, rng):
-        # the engine's movement is ||w_i - w_i_prev|| of the step it just took, zero at the start
-        T, d = 40, 3
+        # the engine's movement is ||w_i - w_i_prev|| of the step it just took, zero at the start,
+        # with np.linalg.norm's bits; expert_switching sums it in round order
+        T, d = 200, 3
         learner = Scream(ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.7),
                          DomainBall(d, 2.0))
         assert np.array_equal(learner.movement, np.zeros(learner.n_experts))
+        switching = np.zeros(learner.n_experts)
         for loss in SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T)):
             before = learner.flat.copy()
             learner.observe(loss)
             assert np.array_equal(learner.movement,
                                   np.linalg.norm(learner.flat - before, axis=1))
+            switching += np.linalg.norm(learner.flat - before, axis=1)
+        assert np.array_equal(learner.expert_switching, switching)
+        assert np.linalg.norm(learner.flat, axis=1).max() == pytest.approx(1.0, abs=1e-12)  # clipped
 
 
 class TestScream:
@@ -218,6 +224,47 @@ class TestMetaExpertEngine:
         assert np.array_equal(by_loss.experts, by_step.experts)
         assert np.array_equal(by_loss.weights, by_step.weights)
 
+    def test_one_decision_per_round(self, rng):
+        class CountingScream(Scream):
+            decisions = 0
+
+            def decide(self):
+                self.decisions += 1
+                return super().decide()
+
+        T, d = 50, 3
+        learner = CountingScream(ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.7),
+                                 DomainBall(d, 2.0))
+        losses = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
+        run = run_online(learner, losses)
+        assert learner.decisions == T == learner.rounds
+        assert all(loss.grad_calls == 1 for loss in losses)
+        assert run.decisions.shape == (T, d)
+
+    def test_observe_after_a_bare_step_decides_afresh(self, rng):
+        class RecordingLoss(SquareLoss):
+            def grad(self, w):
+                self.at = np.array(w)
+                return super().grad(w)
+
+        learner = Scream(ScreamConfig(T=20, grad_bound=2.0, diameter=2.0, lam=0.7),
+                         DomainBall(3, 2.0))
+        for _ in range(3):
+            learner.observe(SquareLoss(rng.standard_normal(3), float(rng.standard_normal())))
+        stale = learner.decide()
+        learner.step(rng.standard_normal(3))           # no decide() between this step and observe
+        fresh = copy.deepcopy(learner).decide()
+        assert not np.array_equal(stale, fresh)
+        loss = RecordingLoss(rng.standard_normal(3), float(rng.standard_normal()))
+        learner.observe(loss)
+        assert np.array_equal(loss.at, fresh)
+
+    def test_accepts_a_prior_normalized_to_rounding(self):
+        ball = DomainBall(2, 2.0)
+        for n in range(1, 200):
+            MetaExpertLearner(np.ones(n), nonuniform_prior(n), 0.3, 0.5, (2,), ball.project_rows)
+        MetaExpertLearner([0.1, 0.2], [1.0, 0.0], 0.3, 0.5, (2,), ball.project_rows)
+
     @pytest.mark.parametrize("etas, prior", [
         ([], []),                                  # empty pool
         ([0.1, 0.0], [0.5, 0.5]),                  # a zero step size
@@ -226,6 +273,11 @@ class TestMetaExpertEngine:
         ([[0.1, 0.2]], [0.5, 0.5]),                # a 2-D pool
         ([0.1, 0.2], [1.0]),                       # prior shorter than the pool
         ([0.1, 0.2], [0.5, 0.25, 0.25]),           # prior longer than the pool
+        ([0.1, 0.2], [1.5, -0.5]),                 # a negative prior weight
+        ([0.1, 0.2], [np.nan, 1.0]),               # a prior weight that is not a number
+        ([0.1, 0.2], [np.inf, 0.0]),               # an infinite prior weight
+        ([0.1, 0.2], [0.5, 0.4]),                  # a prior that sums to 0.9
+        ([0.1, 0.2], [0.5, 0.5 + 1e-11]),          # a prior off one by more than 1e-12
     ])
     def test_rejects_a_bad_pool_or_prior(self, etas, prior):
         ball = DomainBall(2, 2.0)

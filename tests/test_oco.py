@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scream.oco import (ContractViolation, DomainBall, SquareLoss, SquareLossStream, path_length,
-                        regret_metrics)
+from scream.oco import (ContractViolation, DomainBall, SquareLoss, SquareLossStream, clip_to_ball,
+                        path_length, regret_metrics)
 
 from conftest import finite_diff
 
@@ -34,6 +34,59 @@ class TestDomainBall:
         ball = DomainBall(2, 2.0)
         with pytest.raises(ContractViolation):
             ball.project(np.array([np.nan, 0.0]))
+
+
+def reference_clip(vectors, bound):
+    """The ball clip as written with np.linalg.norm."""
+    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return vectors * np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
+
+
+def reference_project(x, radius):
+    """DomainBall.project as written with np.linalg.norm."""
+    v = np.asarray(x, dtype=float)
+    norm = float(np.linalg.norm(v))
+    return v if norm <= radius else v * (radius / norm)
+
+
+class TestNormKernelsBitIdentity:
+    """The norm kernels give np.linalg.norm's bits, compared by np.array_equal."""
+
+    @pytest.mark.parametrize("case", ["random", "inside", "sphere", "zero", "huge"])
+    @np.errstate(over="ignore")   # a norm of 1e200 overflows its square, in the reference too
+    def test_clip_to_ball(self, rng, case):
+        bound = 1.3
+        rows = rng.standard_normal((40, 10))
+        if case == "inside":
+            rows *= 0.9 * bound / np.linalg.norm(rows, axis=1, keepdims=True)
+        elif case == "sphere":
+            rows = reference_clip(rows * 5, bound)
+            rows[:3] = 0.0
+            rows[0, 0], rows[1, 4], rows[2, 9] = bound, -bound, bound
+        elif case == "zero":
+            rows[7] = 0.0
+        elif case == "huge":
+            rows[::3] *= 1e200 / np.linalg.norm(rows[::3], axis=1, keepdims=True)
+        assert np.array_equal(clip_to_ball(rows, bound), reference_clip(rows, bound))
+        if case == "inside":
+            assert clip_to_ball(rows, bound) is rows
+
+    def test_clip_to_ball_keeps_a_nan_row_nan(self, rng):
+        rows = rng.standard_normal((5, 4)) * 0.1
+        rows[2, 1] = np.nan
+        out = clip_to_ball(rows, 1.0)
+        assert np.array_equal(out, reference_clip(rows, 1.0), equal_nan=True)
+        assert np.isnan(out[2, 1]) and np.isfinite(np.delete(out, 2, axis=0)).all()
+
+    @np.errstate(over="ignore")
+    def test_project(self, rng):
+        ball = DomainBall(10, 2.6)
+        columns = rng.standard_normal((10, 50)) * rng.uniform(0.2, 3, 50)
+        for j in range(50):
+            for x in (columns[:, j], columns[:, j].copy()):   # a strided view and its copy
+                assert np.array_equal(ball.project(x), reference_project(x, ball.radius))
+        for x in (np.zeros(10), np.full(10, 1e200), np.eye(10)[3] * ball.radius):
+            assert np.array_equal(ball.project(x), reference_project(x, ball.radius))
 
 
 class TestMemoryLoss:
