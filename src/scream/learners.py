@@ -178,6 +178,12 @@ class MetaExpertLearner:
         return self.flat.reshape(self._experts_shape)
 
     def decide(self) -> np.ndarray:
+        """The weighted mean of the experts, kept for :meth:`observe` until the next :meth:`step`.
+
+        The caller must not write into the returned array, and ``weights``
+        and ``flat`` change only through :meth:`step`: :meth:`observe` takes
+        the gradient at the kept array as it stands.
+        """
         decision = self._decision = (self.weights @ self.flat).reshape(self.shape)
         return decision
 

@@ -35,16 +35,9 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
-    """Scale rows down to l2 norm <= bound (rows already inside are untouched).
-
-    When every row is inside, ``vectors`` itself is returned.  A NaN norm
-    fails the comparison, so a row with a NaN takes the scaling path and
-    stays NaN.
-    """
+    """Scale rows down to l2 norm <= bound (rows already inside are untouched)."""
     # np.linalg.norm(vectors, axis=-1, keepdims=True)'s own arithmetic, without its wrapper
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
-    if (norms <= bound).all():
-        return vectors
     scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
     return vectors * scale
 
@@ -80,7 +73,7 @@ class DomainBall:
         return v * (self.radius / norm)
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Project every row of an (n, dim) array onto the ball (``rows`` itself if all are inside)."""
+        """Project every row of an (n, dim) array onto the ball."""
         return clip_to_ball(rows, self.radius)
 
     def contains(self, x, tol: float = 1e-9) -> bool:

@@ -68,8 +68,6 @@ class TestNormKernelsBitIdentity:
         elif case == "huge":
             rows[::3] *= 1e200 / np.linalg.norm(rows[::3], axis=1, keepdims=True)
         assert np.array_equal(clip_to_ball(rows, bound), reference_clip(rows, bound))
-        if case == "inside":
-            assert clip_to_ball(rows, bound) is rows
 
     def test_clip_to_ball_keeps_a_nan_row_nan(self, rng):
         rows = rng.standard_normal((5, 4)) * 0.1
