@@ -11,6 +11,7 @@ recovered; learning starts at round H + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,10 +86,12 @@ class ScreamControl(MetaExpertLearner):
         self.loop = loop
         self.feasible = feasible
         self.config = config
+        self._caps_tol = feasible.caps + 1e-7
 
     def _project(self, experts: np.ndarray) -> np.ndarray:
         projected = self.feasible.project(experts)
-        if not self.feasible.contains(projected, tol=1e-7):
+        # feasible.contains(projected, tol=1e-7), with the caps plus tolerance added once
+        if not (self.feasible.spectral_norms(projected) <= self._caps_tol).all():
             raise AssertionError(
                 "internal invariant failure: expert left the feasible set after projection")
         return projected
@@ -220,26 +223,34 @@ def best_fixed_dac_per_segment(loop: ClosedLoop, costs, disturbances, boundaries
     Each segment's objective is the sum of unary truncated losses of its rounds.
     With the affine map y = y0 + L m, v = -K y + D m of
     :func:`scream.dac.unary_truncated_map`, built once per segment, quadratic
-    costs make it an explicit quadratic in m, summed by einsums and minimized
-    by projected gradient descent.  Returns one parameter set per round,
-    piecewise constant over the segments.
+    costs make it an explicit quadratic in m, summed by einsums.  The S
+    segments' quadratics are stacked, (S, P, P) with P = H d_u d_x, and
+    minimized in lockstep: each projected-gradient step is one batched
+    product and one batched projection for all segments.  Returns one
+    parameter set per round, piecewise constant over the segments.
     """
     H, K, shape = feasible.H, loop.K, feasible.zeros().shape
     lags_all = lag_table(np.asarray(disturbances, dtype=float), 2 * H + 1)
     targets = np.array([cost.target for cost in costs])
     rho = np.array([cost.control_weight for cost in costs])
-    out = np.empty((lags_all.shape[0],) + shape)
-    for lo, hi in boundaries:
+    S, P = len(boundaries), math.prod(shape)
+    quad, lin, step = np.empty((S, P, P)), np.empty((S, P)), np.empty(S)
+    for s, (lo, hi) in enumerate(boundaries):
         y0, L, D = unary_truncated_map(loop, lags_all[lo:hi], H)
         R = D - K @ L                                               # v = -K y0 + R m
-        quad = np.einsum("txp,txq->pq", L, L) + np.einsum("t,tup,tuq->pq", rho[lo:hi], R, R)
-        lin = (np.einsum("txp,tx->p", L, y0 - targets[lo:hi])
-               - np.einsum("t,tup,tu->p", rho[lo:hi], R, y0 @ K.T))
-        step = 1.0 / max(2.0 * float(np.linalg.eigvalsh(quad).max()), 1e-12)
-        theta = np.zeros(shape)
-        for _ in range(COMPARATOR_ITERS):
-            theta = feasible.project(theta - step * 2.0 * (quad @ theta.ravel() + lin).reshape(shape))
-        out[lo:hi] = theta
+        quad[s] = np.einsum("txp,txq->pq", L, L) + np.einsum("t,tup,tuq->pq", rho[lo:hi], R, R)
+        lin[s] = (np.einsum("txp,tx->p", L, y0 - targets[lo:hi])
+                  - np.einsum("t,tup,tu->p", rho[lo:hi], R, y0 @ K.T))
+        step[s] = 1.0 / max(2.0 * float(np.linalg.eigvalsh(quad[s]).max()), 1e-12)
+    rate = (step * 2.0)[:, None]
+    theta = np.zeros((S,) + shape)
+    for _ in range(COMPARATOR_ITERS):
+        flat = theta.reshape(S, P)
+        grad = (quad @ flat[:, :, None])[:, :, 0] + lin
+        theta = feasible.project((flat - rate * grad).reshape(theta.shape))
+    out = np.empty((lags_all.shape[0],) + shape)
+    for s, (lo, hi) in enumerate(boundaries):
+        out[lo:hi] = theta[s]
     return out
 
 

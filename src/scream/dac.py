@@ -15,6 +15,7 @@ problem to online convex optimization with memory length H + 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ class ClosedLoop:
         self.a_closed = system.A - system.B @ self.K
         self._powers = np.empty((0, system.d_x, system.d_x))
         self._powers_b = np.empty((0, system.d_x, system.d_u))
+        self._flat = {}
 
     @property
     def kappa(self) -> float:
@@ -70,6 +72,22 @@ class ClosedLoop:
         """Stack [B, A_K B, ..., A_K^(count-1) B] (a read-only view)."""
         self._grow(count)
         return self._powers_b[:count]
+
+    def flat_powers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both stacks side by side, as read-only (d_x, count d_x) and (d_x, count d_u) arrays.
+
+        Column block j of each is A_K^j and A_K^j B, so the first maps the
+        stacked vector [z_0; ...; z_(count-1)] to sum_j A_K^j z_j.  Built once
+        per ``count``.
+        """
+        flat = self._flat.get(count)
+        if flat is None:
+            flat = tuple(np.ascontiguousarray(np.swapaxes(stack, 0, 1)).reshape(stack.shape[1], -1)
+                         for stack in (self.powers(count), self.powers_times_b(count)))
+            for array in flat:
+                array.flags.writeable = False
+            self._flat[count] = flat
+        return flat
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,7 @@ class DacFeasibleSet:
             raise ContractViolation(
                 f"expected trailing shape {(self.H, self.d_u, self.d_x)}, got {M.shape}")
 
+    @np.errstate(invalid="ignore")  # an infinite entry may give NaN, which the finite check catches
     def _gram(self, M: np.ndarray):
         """Closed-form spectra of the blocks whose short side k = min(d_u, d_x) is 1 or 2.
 
@@ -123,7 +142,8 @@ class DacFeasibleSet:
         if W.shape[-2] == 1:
             s1_sq, G, half, r = np.einsum("...ij,...ij->...", W, W), None, None, None
         else:
-            G = W @ np.swapaxes(W, -1, -2)
+            # a product with a transposed view takes numpy's much slower matmul path
+            G = W @ np.ascontiguousarray(np.swapaxes(W, -1, -2))
             a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
             half = 0.5 * (a - c)
             r = np.hypot(half, b)
@@ -176,13 +196,13 @@ class DacFeasibleSet:
             return np.einsum("...ij,...j,...jk->...ik", u, clipped, vt)
         W, s1_sq, G, half, r = gram
         caps = self.caps
-        s1 = np.sqrt(s1_sq)
-        f1 = caps / np.maximum(s1, caps)  # cap / s1 where s1 > cap, exactly 1 elsewhere
+        top = np.maximum(np.sqrt(s1_sq), caps)
+        f1 = caps / top  # cap / s1 where s1 > cap, exactly 1 elsewhere
         if G is None:
             return M * f1[..., None, None]
         a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
         # dividing by max(s1, cap) keeps zero blocks finite; where s1 <= cap, s2 <= cap anyway
-        s2 = np.sqrt(np.maximum(a * c - b * b, 0.0)) / np.maximum(s1, caps)
+        s2 = np.sqrt(np.maximum(a * c - b * b, 0.0)) / top
         f2 = caps / np.maximum(s2, caps)
         g = (f1 - f2) / (2.0 * np.where(r > 0, r, 1.0))  # r = 0 makes r ± half and b all 0
         P = np.empty(G.shape)
@@ -295,10 +315,17 @@ def lag_table(disturbances, count: int) -> np.ndarray:
     return padded[count - 1 + np.arange(T)[:, None] - np.arange(count)[None, :]]
 
 
+@functools.cache
+def _lag_index(H: int) -> np.ndarray:
+    """The read-only (H + 1, H) index array 1 + j + k of :func:`_lag_table`."""
+    idx = 1 + np.arange(H + 1)[:, None] + np.arange(H)[None, :]
+    idx.flags.writeable = False
+    return idx
+
+
 def _lag_table(lags: np.ndarray, H: int) -> np.ndarray:
     """Table[..., j, k, :] = lags[..., 1 + j + k, :] for j = 0..H, k = 0..H-1 (2H + 1 lags)."""
-    idx = 1 + np.arange(H + 1)[:, None] + np.arange(H)[None, :]
-    return lags[..., idx, :]
+    return lags[..., _lag_index(H), :]
 
 
 def truncated_state(loop: ClosedLoop, M_hist, lags) -> np.ndarray:
@@ -370,15 +397,25 @@ def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
 
     With y = y0 + L m and v = -K y + D m (:func:`unary_truncated_map`) the
     chain rule gives L^T (g_y - K^T g_v) + D^T g_v from the cost gradients
-    at (y, v).
+    at (y, v).  L and D are never built.  With the lag table
+    ``table[j, k] = lags[1 + j + k]``, y = sum_j A_K^j lags[j] +
+    sum_j A_K^j B sum_k M[k] table[j, k] and D m = sum_k M[k] lags[k]; the
+    transposed products contract the back-propagated gradient with the same
+    table.  The powers come side by side from :meth:`ClosedLoop.flat_powers`.
     """
     M = np.asarray(M, dtype=float)
-    y0, L, D = unary_truncated_map(loop, lags, M.shape[0])
-    y = y0 + L @ M.ravel()
-    v = D @ M.ravel() - loop.K @ y
+    lags = np.asarray(lags, dtype=float)
+    H = M.shape[0]
+    if lags.shape[-2] < 2 * H + 1:
+        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
+    powers, powers_b = loop.flat_powers(H + 1)
+    table = _lag_table(lags, H)
+    y = powers @ lags[: H + 1].ravel() + powers_b @ np.einsum("kuz,jkz->ju", M, table).ravel()
+    v = np.einsum("kuz,kz->u", M, lags[:H]) - loop.K @ y
     g_y = np.asarray(cost.grad_x(y, v), dtype=float)
     g_v = np.asarray(cost.grad_u(y, v), dtype=float)
-    return (L.T @ (g_y - loop.K.T @ g_v) + D.T @ g_v).reshape(M.shape)
+    back = ((g_y - loop.K.T @ g_v) @ powers_b).reshape(H + 1, -1)  # row j: (A_K^j B)^T (...)
+    return np.einsum("ju,jkz->kuz", back, table) + g_v[:, None] * lags[:H, None, :]
 
 
 @dataclass(frozen=True)

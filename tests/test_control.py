@@ -5,9 +5,10 @@ import pytest
 
 from scream import dac
 from scream.bench import ControlScenario, gen_control_scenario, scaling_scenario
-from scream.control import (ControlConfig, ScreamControl, best_fixed_dac_per_segment,
-                            control_trajectory_rows, dynamic_policy_regret_control,
-                            run_scream_control, segment_boundaries)
+from scream.control import (COMPARATOR_ITERS, ControlConfig, ScreamControl,
+                            best_fixed_dac_per_segment, control_trajectory_rows,
+                            dynamic_policy_regret_control, run_scream_control,
+                            segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lag_table, lipschitz_constants, simulate_dac)
 from scream.lds import DisturbanceGenerator, preset
@@ -316,6 +317,57 @@ def test_comparators_match_per_round_assembly(scenario):
     ref = per_round_comparators(loop, costs, w, boundaries, feasible)
     assert np.abs(ref).max() > 0
     assert np.max(np.abs(comp - ref)) <= 1e-10 * np.abs(ref).max()
+
+
+def per_segment_comparators(loop, costs, w, boundaries, feasible):
+    """Reference: each segment's projected-gradient descent run on its own, one segment after another."""
+    H, K, shape = feasible.H, loop.K, feasible.zeros().shape
+    lags_all = lag_table(w, 2 * H + 1)
+    targets = np.array([cost.target for cost in costs])
+    rho = np.array([cost.control_weight for cost in costs])
+    out = np.empty((w.shape[0],) + shape)
+    for lo, hi in boundaries:
+        y0, L, D = dac.unary_truncated_map(loop, lags_all[lo:hi], H)
+        R = D - K @ L
+        quad = np.einsum("txp,txq->pq", L, L) + np.einsum("t,tup,tuq->pq", rho[lo:hi], R, R)
+        lin = (np.einsum("txp,tx->p", L, y0 - targets[lo:hi])
+               - np.einsum("t,tup,tu->p", rho[lo:hi], R, y0 @ K.T))
+        step = 1.0 / max(2.0 * float(np.linalg.eigvalsh(quad).max()), 1e-12)
+        theta = np.zeros(shape)
+        for _ in range(COMPARATOR_ITERS):
+            theta = feasible.project(theta - step * 2.0 * (quad @ theta.ravel() + lin).reshape(shape))
+        out[lo:hi] = theta
+    return out
+
+
+@pytest.mark.parametrize("scenario", [ControlScenario(T=130, segment_length=50),
+                                      scaling_scenario(103),
+                                      ControlScenario(T=60, segment_length=1)],
+                         ids=["tracking-3x2", "scaling-3x1", "segment-length-1"])
+def test_lockstep_comparators_equal_per_segment_runs(scenario):
+    loop, feasible, _, costs, w = gen_control_scenario(scenario, seed=0)
+    boundaries = scenario.segments()
+    comp = best_fixed_dac_per_segment(loop, costs, w, boundaries, feasible)
+    ref = per_segment_comparators(loop, costs, w, boundaries, feasible)
+    assert np.abs(ref).max() > 0
+    assert np.array_equal(comp, ref)
+
+
+@pytest.mark.parametrize("segment_length", [60, 6, 1])
+def test_comparators_project_once_per_step_for_all_segments(segment_length, monkeypatch):
+    scenario = ControlScenario(T=60, segment_length=segment_length)
+    loop, feasible, _, costs, w = gen_control_scenario(scenario, seed=0)
+    calls = []
+    project = DacFeasibleSet.project
+
+    def counted(self, M):
+        calls.append(np.shape(M))
+        return project(self, M)
+
+    monkeypatch.setattr(DacFeasibleSet, "project", counted)
+    best_fixed_dac_per_segment(loop, costs, w, scenario.segments(), feasible)
+    segments = 60 // segment_length
+    assert calls == [(segments, scenario.H, 2, 3)] * COMPARATOR_ITERS
 
 
 def test_one_lag_table_per_learning_round(monkeypatch):

@@ -371,6 +371,27 @@ class TestUnaryTruncatedMap:
         with pytest.raises(ContractViolation):
             unary_truncated_map(loop, np.zeros((4, 6, 3)), 3)
 
+    @pytest.mark.parametrize("d_u, H", [(2, 3), (1, 4), (2, 1), (2, 5)])
+    def test_gradient_is_chain_rule_through_map(self, rng, d_u, H):
+        loop = self.loop_with_feedback(rng, d_u)
+        assert np.abs(loop.K).max() > 0
+        feasible = feasible_for(loop, H)
+        K = loop.K
+        for _ in range(10):
+            M = feasible.random_point(rng)
+            lags = rng.uniform(-0.5, 0.5, (2 * H + 1, 3))
+            cost = QuadraticTrackingCost(rng.standard_normal(3), control_weight=0.3)
+            y0, L, D = unary_truncated_map(loop, lags, H)
+            y = y0 + L @ M.ravel()
+            v = D @ M.ravel() - K @ y
+            g_y, g_v = cost.grad_x(y, v), cost.grad_u(y, v)
+            want = (L.T @ (g_y - K.T @ g_v) + D.T @ g_v).reshape(M.shape)
+            got = unary_truncated_gradient(cost, loop, M, lags)
+            assert got.shape == M.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        with pytest.raises(ContractViolation):
+            unary_truncated_gradient(cost, loop, M, lags[: 2 * H])
+
 
 class TestProjection:
     def test_feasible_input_unchanged(self, rng):
@@ -520,6 +541,7 @@ class TestClosedFormProjection:
 
     @pytest.mark.parametrize("shape", CLOSED_FORM_SHAPES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")  # the Gram product of an infinite block stays silent
     def test_non_finite_block(self, rng, shape, bad):
         feasible = DacFeasibleSet(self.CAPS, *shape)
         M = feasible.random_point(rng, scale=0.5)
@@ -533,6 +555,41 @@ class TestClosedFormProjection:
             feasible.project(M)
         with pytest.raises(ContractViolation):
             feasible.project(np.stack([feasible.zeros(), M]))
+
+
+def transposed_view_reference(M, caps, d_u, d_x):
+    """The short-side-2 closed form with its Gram matrix taken on a transposed view.
+
+    Returns (projection, spectral norms): the arithmetic of the closed form
+    exactly, with ``W @ np.swapaxes(W, -1, -2)`` as the Gram matrix.
+    """
+    W = M if d_u <= d_x else np.swapaxes(M, -1, -2)
+    G = W @ np.swapaxes(W, -1, -2)
+    a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+    half = 0.5 * (a - c)
+    r = np.hypot(half, b)
+    s1 = np.sqrt(0.5 * (a + c) + r)
+    f1 = caps / np.maximum(s1, caps)
+    s2 = np.sqrt(np.maximum(a * c - b * b, 0.0)) / np.maximum(s1, caps)
+    f2 = caps / np.maximum(s2, caps)
+    g = (f1 - f2) / (2.0 * np.where(r > 0, r, 1.0))
+    P = np.empty(G.shape)
+    P[..., 0, 0] = f2 + g * (r + half)
+    P[..., 1, 1] = f2 + g * (r - half)
+    P[..., 0, 1] = P[..., 1, 0] = g * b
+    return (P @ M if W is M else M @ P), s1
+
+
+@pytest.mark.parametrize("stack", [(7, 5, 2, 3), (5, 3, 2)])
+def test_contiguous_gram_keeps_the_bits_of_a_transposed_view(rng, stack):
+    d_u, d_x = stack[-2:]
+    caps = 0.7 ** np.arange(1, stack[-3] + 1)
+    feasible = DacFeasibleSet(caps, d_u, d_x)
+    for _ in range(200):
+        M = rng.standard_normal(stack) * rng.uniform(0.05, 3)
+        projected, norms = transposed_view_reference(M, caps, d_u, d_x)
+        assert np.array_equal(feasible.project(M), projected)
+        assert np.array_equal(feasible.spectral_norms(M), norms)
 
 
 class TestLipschitzConstants:
