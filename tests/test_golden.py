@@ -13,11 +13,14 @@ regenerated:
                  ``run_control_benchmark(scaling_scenario(500, seeds=(0, 1)))``,
                  the single-input tracking-3x1 preset of the regret-scaling
                  study (d_u = 1, H = 3), with its ``control_metadata.json``;
-  sysid_small    ``scream sysid-bench --budgets 250,1000`` with seeds 0, 1, 2.
+  sysid_small    ``scream sysid-bench --budgets 250,1000`` with seeds 0, 1, 2;
+  verify_seed0.txt
+                 the stdout of ``scream verify --seed 0``.
 
 Every field is compared at the 9 significant digits the CSVs print, except
 ``wall_time_ms``, the one measured column.  The JSON report is compared the
 same way: every number at 9 significant digits, everything else exactly.
+The verify output is compared line by line, exactly.
 The control metadata holds the controller's tuning (step-size pool, meta rate,
 number of experts, movement weight and the structural constants), which no
 CSV column prints.
@@ -30,6 +33,7 @@ import pytest
 
 from scream.bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
                           run_control_benchmark, run_sysid_benchmark, scaling_scenario)
+from scream.cli import main
 
 from conftest import parse_csv
 
@@ -100,3 +104,9 @@ def test_sysid_benchmark_matches_golden(tmp_path):
     scenario = SysidScenario(budgets=(250, 1000), seeds=(0, 1, 2), outdir=str(tmp_path))
     run_sysid_benchmark(scenario)
     _assert_json_matches_golden(tmp_path, "sysid_small", "sysid_report.json")
+
+
+def test_verify_output_matches_golden(capsys):
+    assert main(["verify", "--seed", "0"]) == 0
+    expected = (GOLDEN / "verify_seed0.txt").read_text(encoding="utf-8").splitlines()
+    assert capsys.readouterr().out.splitlines() == expected
