@@ -13,7 +13,7 @@ The package provides:
 * ``sysid``: identification via random sign inputs and the explore-then-commit
   pipeline for unknown dynamics;
 * ``bench`` / ``cli``: the reproducible benchmark harness;
-* ``verify``: the randomized structural sweeps behind ``scream verify``.
+* ``verify``: the window-form reference and the structural sweeps of ``scream verify``.
 """
 
 from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, SquareLossStream,
@@ -25,7 +25,6 @@ from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Traj
                   recover_disturbance, step_dynamics)
 from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, QuadraticTrackingCost,
                   dac_action, lag_table, lipschitz_constants, simulate_dac,
-                  state_via_transfer, transfer_matrix, truncated_loss,
                   unary_truncated_gradient)
 from .control import (ControlConfig, ScreamControl, dynamic_policy_regret_control,
                       run_scream_control)

@@ -104,7 +104,6 @@ class ControlRun:
     states: np.ndarray                 # (T + 1, d_x)
     actions: np.ndarray                # (T, d_u)
     disturbances: np.ndarray           # true disturbances driving the plant
-    believed_disturbances: np.ndarray  # what the controller recovered
     cost_values: np.ndarray            # (T,)
     params: np.ndarray                 # (T, H, d_u, d_x) aggregated parameter per round
     weights: np.ndarray                # (T, n) meta weights that aggregated it
@@ -179,8 +178,8 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
             controller.step(unary_truncated_gradient(costs[t], loop, M, lags))
         states[t + 1] = step_dynamics(plant, states[t], u, disturbances[t])
         history[T - 1 - t] = recover_disturbance(loop.system, states[t + 1], states[t], u)
-    return ControlRun(states, actions, disturbances, history[:T][::-1], values, params, weights,
-                      list(costs), controller)
+    return ControlRun(states, actions, disturbances, values, params, weights, list(costs),
+                      controller)
 
 
 def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparator_params,

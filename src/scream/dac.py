@@ -7,10 +7,9 @@ of shape (H, d_u, d_x) whose block ``M[k]`` (0-based) multiplies the
 disturbance ``k + 1`` steps back; the spectral cap of block ``k`` in the
 feasible set is ``kappa_B * kappa^3 * (1 - gamma)^(k + 1)``.
 
-States reached under a DAC history are linear in the parameters.  The
-transfer-matrix expansion, the H-step truncated state/action/loss, and the
-affine map of the unary truncated loss implemented here reduce the control
-problem to online convex optimization with memory length H + 2.
+States reached under a DAC history are linear in the parameters.  The affine
+map and the gradient of the unary truncated loss here reduce the control problem
+to OCO with memory length H + 2; :mod:`scream.verify` holds the window form.
 """
 
 from __future__ import annotations
@@ -230,54 +229,6 @@ def dac_action(K, M, x, lags) -> np.ndarray:
     return -K @ x + np.einsum("kux,kx->u", M, lags[:H])
 
 
-def transfer_matrix(loop: ClosedLoop, i: int, h: int, M_seq) -> np.ndarray:
-    """Linear map from the disturbance i steps back to the current state.
-
-    ``M_seq`` holds the h + 1 parameter sets in play, oldest first.  The map is
-    A_K^i (when i <= h) plus sum_j A_K^j B M_seq[-1-j][i-j-1] over the j with
-    a valid block index.
-    """
-    M_seq = [np.asarray(M, dtype=float) for M in M_seq]
-    if len(M_seq) != h + 1:
-        raise ContractViolation(f"need h + 1 = {h + 1} parameter sets, got {len(M_seq)}")
-    H = M_seq[0].shape[0]
-    if not 0 <= i <= H + h:
-        raise ContractViolation(f"transfer index i = {i} outside [0, H + h] = [0, {H + h}]")
-    d_x = loop.system.d_x
-    powers = loop.powers(h + 1)
-    powers_b = loop.powers_times_b(h + 1)
-    psi = powers[i].copy() if i <= h else np.zeros((d_x, d_x))
-    for j in range(h + 1):
-        k = i - j - 1
-        if 0 <= k < H:
-            psi += powers_b[j] @ M_seq[h - j][k]
-    return psi
-
-
-def state_via_transfer(loop: ClosedLoop, M_hist, disturbances) -> np.ndarray:
-    """State after t rounds of the DAC history, from the transfer-matrix expansion.
-
-    ``M_hist`` holds the t parameter sets used at rounds 0..t-1 (oldest first)
-    and ``disturbances`` the t disturbances w_0..w_{t-1}; the start state is the
-    origin.  Equals the state produced by direct simulation of the same policy.
-    """
-    M_hist = [np.asarray(M, dtype=float) for M in M_hist]
-    w = np.asarray(disturbances, dtype=float)
-    t = len(M_hist)
-    if w.shape[0] != t:
-        raise ContractViolation("need exactly one disturbance per round of history")
-    if t == 0:
-        return np.zeros(loop.system.d_x)
-    H = M_hist[0].shape[0]
-    x = np.zeros(loop.system.d_x)
-    for i in range(H + t):
-        s = t - 1 - i
-        if s < 0:
-            break  # disturbances before the start are zero
-        x += transfer_matrix(loop, i, t - 1, M_hist) @ w[s]
-    return x
-
-
 def simulate_dac(system: LinearSystem, K, M_seq, disturbances, x0=None, costs=None) -> Trajectory:
     """Roll the closed loop forward under a (possibly time-varying) DAC policy.
 
@@ -326,51 +277,6 @@ def _lag_index(H: int) -> np.ndarray:
 def _lag_table(lags: np.ndarray, H: int) -> np.ndarray:
     """Table[..., j, k, :] = lags[..., 1 + j + k, :] for j = 0..H, k = 0..H-1 (2H + 1 lags)."""
     return lags[..., _lag_index(H), :]
-
-
-def truncated_state(loop: ClosedLoop, M_hist, lags) -> np.ndarray:
-    """H-step truncated state: the transfer expansion cut at the window shown.
-
-    ``M_hist`` holds the H + 1 parameter sets of rounds t-1-H..t-1 (oldest
-    first); ``lags[i]`` is the disturbance i + 1 steps back (2H + 1 of them).
-    """
-    M_hist = np.asarray(M_hist, dtype=float)
-    lags = np.asarray(lags, dtype=float)
-    H = M_hist.shape[1]
-    if M_hist.shape[0] != H + 1:
-        raise ContractViolation(f"need H + 1 = {H + 1} parameter sets, got {M_hist.shape[0]}")
-    if lags.shape[0] < 2 * H + 1:
-        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
-    powers = loop.powers(H + 1)
-    powers_b = loop.powers_times_b(H + 1)
-    y = np.einsum("jxz,jz->x", powers, lags[: H + 1])
-    # M_hist[H - j] is the parameter set j rounds back
-    m_rev = M_hist[::-1]
-    y += np.einsum("jxu,jkuz,jkz->x", powers_b, m_rev, _lag_table(lags, H))
-    return y
-
-
-def truncated_loss(cost, loop: ClosedLoop, window, lags):
-    """Evaluate the truncated loss on a window of H + 2 parameter sets (oldest first).
-
-    The truncated state uses the H + 1 older sets, the truncated action
-    v = -K y + sum_k M_newest[k] lags[k] adds the newest one; returns (value, y, v).
-    """
-    window = np.asarray(window, dtype=float)
-    H = window.shape[1]
-    if window.shape[0] != H + 2:
-        raise ContractViolation(f"window must hold exactly H + 2 = {H + 2} parameter sets")
-    y = truncated_state(loop, window[:-1], lags)
-    v = dac_action(loop.K, window[-1], y, lags)
-    return float(cost.value(y, v)), y, v
-
-
-def unary_truncated_eval(cost, loop: ClosedLoop, M, lags):
-    """Truncated loss with every window entry equal to ``M``; returns (value, y, v)."""
-    M = np.asarray(M, dtype=float)
-    H = M.shape[0]
-    window = np.broadcast_to(M, (H + 2,) + M.shape)
-    return truncated_loss(cost, loop, window, lags)
 
 
 def unary_truncated_map(loop: ClosedLoop, lags, H: int):

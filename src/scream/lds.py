@@ -7,6 +7,7 @@ when the dynamics matrices are known, which the controllers rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,14 +17,13 @@ from .oco import ContractViolation, clip_to_ball
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dynamics pair (A, B) with a declared disturbance bound ``w_bound``.
+    """Dynamics pair (A, B).
 
     ``kappa_B`` is derived, not set: the operator norm of B, floored at 1e-12.
     """
 
     A: np.ndarray
     B: np.ndarray
-    w_bound: float = 1.0
     kappa_B: float = field(init=False)
 
     def __post_init__(self):
@@ -172,8 +172,10 @@ class DisturbanceGenerator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ContractViolation(f"unknown disturbance kind {self.kind!r}; pick one of {_KINDS}")
-        if self.amplitude < 0:
-            raise ContractViolation("amplitude must be non-negative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ContractViolation(f"amplitude must be finite and non-negative, got {self.amplitude}")
+        if not self.period >= 1:
+            raise ContractViolation(f"period must be at least 1, got {self.period}")
 
     def sequence(self, T: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -213,7 +215,7 @@ class Trajectory:
 
 
 def random_stable_system(d_x: int, d_u: int, spectral_radius: float, seed: int,
-                         normal: bool = False, w_bound: float = 1.0) -> LinearSystem:
+                         normal: bool = False) -> LinearSystem:
     """Random diagonalizable A scaled to the requested spectral radius; B rescaled to unit norm.
 
     With ``normal=True`` the A matrix is symmetric, so its eigenvector basis is
@@ -227,7 +229,7 @@ def random_stable_system(d_x: int, d_u: int, spectral_radius: float, seed: int,
     A = raw * (spectral_radius / max(rho, 1e-12))
     B = rng.uniform(-1, 1, (d_x, d_u))
     B = B / max(float(np.linalg.norm(B, 2)), 1e-12)
-    return LinearSystem(A, B, w_bound=w_bound)
+    return LinearSystem(A, B)
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def _register(name):
 @_register("mild-3x2")
 def _mild_3x2(seed: int = 0) -> SystemPreset:
     # symmetric A (orthonormal eigenbasis, kappa = 1) with comfortable contraction
-    system = random_stable_system(3, 2, spectral_radius=0.6, seed=seed, normal=True, w_bound=0.5)
+    system = random_stable_system(3, 2, spectral_radius=0.6, seed=seed, normal=True)
     K = np.zeros((2, 3))
     cert = certify_strong_stability(system, K, kappa=1.0, gamma=0.4)
     gen = DisturbanceGenerator("sinusoidal", 3, amplitude=0.5, seed=seed + 1, period=40)
@@ -264,7 +266,7 @@ def _mild_3x2(seed: int = 0) -> SystemPreset:
 @_register("spin-3x2")
 def _spin_3x2(seed: int = 0) -> SystemPreset:
     # generic (non-normal) stable A at spectral radius 0.9; certificate derived
-    system = random_stable_system(3, 2, spectral_radius=0.9, seed=seed, w_bound=0.5)
+    system = random_stable_system(3, 2, spectral_radius=0.9, seed=seed)
     K = np.zeros((2, 3))
     cert = certify_strong_stability(system, K)
     gen = DisturbanceGenerator("gaussian-clipped", 3, amplitude=0.5, seed=seed + 1)
@@ -275,8 +277,7 @@ def _spin_3x2(seed: int = 0) -> SystemPreset:
 def _scaling_3x1(seed: int = 0) -> SystemPreset:
     # single-input plant: the worst-case tuning constants are tight here, so the
     # horizon-tuned learner is actually responsive at desk scale
-    system = random_stable_system(3, 1, spectral_radius=0.55, seed=seed + 7, normal=True,
-                                  w_bound=0.6)
+    system = random_stable_system(3, 1, spectral_radius=0.55, seed=seed + 7, normal=True)
     K = np.zeros((1, 3))
     cert = certify_strong_stability(system, K, kappa=1.0, gamma=0.45)
     gen = DisturbanceGenerator("piecewise-step", 3, amplitude=0.6, seed=seed + 1, period=50)
@@ -291,7 +292,7 @@ def _sysid_3x2(seed: int = 0) -> SystemPreset:
                   [0.1, 0.0, 0.4]])
     B = rng.uniform(-1, 1, (3, 2))
     B = B / max(float(np.linalg.norm(B, 2)), 1e-12)
-    system = LinearSystem(A, B, w_bound=0.1)
+    system = LinearSystem(A, B)
     K = np.zeros((2, 3))
     cert = certify_strong_stability(system, K)
     gen = DisturbanceGenerator("gaussian-clipped", 3, amplitude=0.1, seed=seed + 2)

@@ -60,8 +60,8 @@ class IdentifiedSystem:
     config: IdentificationConfig
     exploration: Trajectory
 
-    def as_system(self, w_bound: float = 1.0) -> LinearSystem:
-        return LinearSystem(self.A_hat, self.B_hat, w_bound=w_bound)
+    def as_system(self) -> LinearSystem:
+        return LinearSystem(self.A_hat, self.B_hat)
 
 
 def explore(plant: LinearSystem, K, T0: int, disturbances, rng, costs=None):
@@ -138,10 +138,6 @@ class PipelineRun:
     exploration_cost: float
     control_run: ControlRun
 
-    @property
-    def total_cost(self) -> float:
-        return self.exploration_cost + float(np.sum(self.control_run.cost_values))
-
 
 def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig,
                          control_config: ControlConfig, costs, disturbances,
@@ -161,8 +157,7 @@ def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig
         raise ContractViolation("exploration budget must be smaller than the horizon")
     identified, moments = identify_system(plant, K, id_config, disturbances[:T0],
                                           seed=seed, costs=costs[:T0])
-    believed_system = inject_system if inject_system is not None else identified.as_system(
-        w_bound=plant.w_bound)
+    believed_system = inject_system if inject_system is not None else identified.as_system()
     certificate = certify_strong_stability(believed_system, K)
     if not certificate.accepted:
         raise InsufficientExcitation(

@@ -5,19 +5,77 @@ The defaults are the sizes ``scream verify`` runs; acceptance criteria 2, 3, 4
 and 8 call the same functions with their own seeds and larger counts.  The
 sweeps cover simplex preservation, both projections, the movement
 decomposition, the prior, one gradient per round, the transfer-matrix
-expansion, the truncated-loss gradients and the truncation bounds.
+expansion, the truncated-loss gradients and the truncation bounds.  The
+window-form reference they check the controller's path against lives here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lag_table, simulate_dac,
-                  state_action_bound, state_via_transfer, tracking_grad_coeff, truncated_loss,
-                  truncated_state, unary_truncated_eval, unary_truncated_gradient)
+from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action, lag_table,
+                  simulate_dac, state_action_bound, tracking_grad_coeff,
+                  unary_truncated_gradient)
 from .lds import DisturbanceGenerator, clip_to_ball, preset, random_stable_system
 from .learners import Scream, ScreamConfig, hedge_step, nonuniform_prior, run_online
-from .oco import DomainBall, SquareLossStream
+from .oco import ContractViolation, DomainBall, SquareLossStream
+
+
+def transfer_matrix(loop: ClosedLoop, i: int, h: int, M_seq) -> np.ndarray:
+    """Linear map from the disturbance i steps back to the current state.
+
+    ``M_seq`` holds the h + 1 parameter sets in play, oldest first.  The map is
+    A_K^i (when i <= h) plus sum_j A_K^j B M_seq[-1-j][i-j-1] over the j with
+    a valid block index.
+    """
+    M_seq = [np.asarray(M, dtype=float) for M in M_seq]
+    if len(M_seq) != h + 1:
+        raise ContractViolation(f"need h + 1 = {h + 1} parameter sets, got {len(M_seq)}")
+    H = M_seq[0].shape[0]
+    if not 0 <= i <= H + h:
+        raise ContractViolation(f"transfer index i = {i} outside [0, H + h] = [0, {H + h}]")
+    d_x = loop.system.d_x
+    powers = loop.powers(h + 1)
+    powers_b = loop.powers_times_b(h + 1)
+    psi = powers[i].copy() if i <= h else np.zeros((d_x, d_x))
+    for j in range(h + 1):
+        k = i - j - 1
+        if 0 <= k < H:
+            psi += powers_b[j] @ M_seq[h - j][k]
+    return psi
+
+
+def transfer_state(loop: ClosedLoop, M_seq, lags) -> np.ndarray:
+    """sum_i transfer_matrix(i) @ lags[i] for the h + 1 sets ``M_seq``; lags past the record are 0.
+
+    Given a run's t sets and its disturbances newest first (``w[:t][::-1]``),
+    this is its state after t rounds; given H + 1 sets and 2H + 1 lags, the
+    H-step truncated state.
+    """
+    lags = np.asarray(lags, dtype=float)
+    h = len(M_seq) - 1
+    H = np.shape(M_seq[0])[0]
+    x = np.zeros(loop.system.d_x)
+    for i in range(min(lags.shape[0], H + h + 1)):
+        x += transfer_matrix(loop, i, h, M_seq) @ lags[i]
+    return x
+
+
+def truncated_loss(cost, loop: ClosedLoop, window, lags):
+    """The truncated loss of a window of H + 2 parameter sets (oldest first); returns (value, y, v).
+
+    The truncated state y uses the H + 1 older sets and the 2H + 1 lags; the
+    truncated action v = -K y + sum_k M_newest[k] lags[k] adds the newest set.
+    """
+    window = np.asarray(window, dtype=float)
+    H = window.shape[1]
+    if window.shape[0] != H + 2:
+        raise ContractViolation(f"window must hold exactly H + 2 = {H + 2} parameter sets")
+    if len(lags) < 2 * H + 1:
+        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
+    y = transfer_state(loop, window[:-1], lags)
+    v = dac_action(loop.K, window[-1], y, lags)
+    return float(cost.value(y, v)), y, v
 
 
 def check_simplex(p, tol: float = 1e-12) -> bool:
@@ -134,7 +192,7 @@ def check_transfer_equivalence(rng, systems: int = 5):
         w = rng.uniform(-0.5, 0.5, (T, 3))
         states = simulate_dac(system, loop.K, M_hist, w).states
         for t in (T // 3, T):
-            x = state_via_transfer(loop, list(M_hist[:t]), w[:t])
+            x = transfer_state(loop, M_hist[:t], w[:t][::-1])
             rel = np.linalg.norm(states[t] - x) / max(np.linalg.norm(states[t]), 1e-12)
             worst = max(worst, float(rel))
     if worst > 1e-8:
@@ -155,12 +213,13 @@ def check_gradient_fd(rng, cases: int = 5):
         lags = rng.uniform(-0.5, 0.5, (2 * H + 1, 3))
         cost = QuadraticTrackingCost(rng.uniform(-1, 1, 3))
         grad = unary_truncated_gradient(cost, loop, M, lags)
+        window = (H + 2,) + M.shape
         for idx in np.ndindex(M.shape):
             bump = M.copy()
             bump[idx] += step
-            up = unary_truncated_eval(cost, loop, bump, lags)[0]
+            up = truncated_loss(cost, loop, np.broadcast_to(bump, window), lags)[0]
             bump[idx] -= 2 * step
-            down = unary_truncated_eval(cost, loop, bump, lags)[0]
+            down = truncated_loss(cost, loop, np.broadcast_to(bump, window), lags)[0]
             fd = (up - down) / (2 * step)
             rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-6)
             worst = max(worst, rel)
@@ -191,7 +250,7 @@ def check_truncation_bounds(rng, horizons=(4,), T: int = 80):
         lags_all = lag_table(w, 2 * H + 1)
         for t in range(H + 1, T):
             lags = lags_all[t]
-            y = truncated_state(loop, M_seq[t - 1 - H: t], lags)
+            y = transfer_state(loop, M_seq[t - 1 - H: t], lags)
             if not np.linalg.norm(traj.states[t] - y) <= state_cap:
                 return False, f"state truncation bound violated at H={H}, t={t}"
             value, _, _ = truncated_loss(costs[t], loop, M_seq[t - 1 - H: t + 1], lags)

