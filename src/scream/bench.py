@@ -457,28 +457,39 @@ class SysidScenario:
 def run_sysid_benchmark(scenario: SysidScenario) -> dict:
     """Monte-Carlo identification error across exploration budgets; writes a JSON report.
 
-    A trial that raises is recorded in ``failures.txt`` as ``(T0, seed): exception``
-    and left out of the trials; the sweep goes on.  The log-log slope is NaN
-    unless at least two budgets have a median.
+    Each seed's disturbance record is drawn once, at the longest budget, and
+    every budget explores its prefix: a generator's record for a shorter
+    horizon is a prefix of the longer one.  A trial that raises, the draw
+    included, is recorded in ``failures.txt`` as ``(T0, seed): exception``
+    and left out of the trials; the sweep goes on.  Trials and failures are
+    listed budget by budget, seeds in order within each.  The log-log slope
+    is NaN unless at least two budgets have a median.
     """
     sys_preset = preset(scenario.preset, seed=0)
     plant = sys_preset.system
     a_k = plant.A - plant.B @ sys_preset.K
-    trials, failures = [], []
-    for budget in scenario.budgets:
-        for seed in scenario.seeds:
+    true_moments = [np.linalg.matrix_power(a_k, j) @ plant.B for j in range(scenario.k + 1)]
+    trials = [[] for _ in scenario.budgets]
+    failures = [[] for _ in scenario.budgets]
+    for seed in scenario.seeds:  # seed-major, so only one seed's record is held at a time
+        try:
+            gen = replace(sys_preset.disturbance, seed=seed + 31)
+            disturbances = gen.sequence(max(scenario.budgets))
+        except Exception as exc:  # per-trial failures are recorded; the sweep continues
+            for budget, budget_failures in zip(scenario.budgets, failures):
+                budget_failures.append(((budget, seed), f"{type(exc).__name__}: {exc}"))
+            continue
+        for budget, budget_trials, budget_failures in zip(scenario.budgets, trials, failures):
             try:
-                gen = replace(sys_preset.disturbance, seed=seed + 31)
-                disturbances = gen.sequence(budget)
                 ident, moments = identify_system(plant, sys_preset.K,
                                                  IdentificationConfig(budget, scenario.k),
                                                  disturbances, seed=seed)
             except Exception as exc:  # per-trial failures are recorded; the sweep continues
-                failures.append(((budget, seed), f"{type(exc).__name__}: {exc}"))
+                budget_failures.append(((budget, seed), f"{type(exc).__name__}: {exc}"))
                 continue
-            moment_errors = [float(np.linalg.norm(moments.N[j] - np.linalg.matrix_power(a_k, j) @ plant.B))
-                             for j in range(scenario.k + 1)]
-            trials.append({
+            moment_errors = [float(np.linalg.norm(estimate - truth))
+                             for estimate, truth in zip(moments.N, true_moments)]
+            budget_trials.append({
                 "T0": budget,
                 "k": scenario.k,
                 "seed": seed,
@@ -486,6 +497,8 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
                 "err_B": float(np.linalg.norm(ident.B_hat - plant.B)),
                 "moment_errors": moment_errors,
             })
+    trials = [trial for budget_trials in trials for trial in budget_trials]
+    failures = [failure for budget_failures in failures for failure in budget_failures]
     medians = {}
     for budget in scenario.budgets:
         errs = [t["err_A"] for t in trials if t["T0"] == budget]

@@ -8,6 +8,7 @@ when the dynamics matrices are known, which the controllers rely on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,12 +175,11 @@ class DisturbanceGenerator:
             raise ContractViolation(f"unknown disturbance kind {self.kind!r}; pick one of {_KINDS}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ContractViolation(f"amplitude must be finite and non-negative, got {self.amplitude}")
-        if not self.period >= 1:
-            raise ContractViolation(f"period must be at least 1, got {self.period}")
+        if not (isinstance(self.period, numbers.Integral) and self.period >= 1):
+            raise ContractViolation(f"period must be an integer of at least 1, got {self.period!r}")
 
     def sequence(self, T: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        t = np.arange(T)[:, None]
         if self.kind == "constant":
             direction = rng.standard_normal(self.dim)
             direction /= max(np.linalg.norm(direction), 1e-12)
@@ -188,6 +188,7 @@ class DisturbanceGenerator:
             out = rng.standard_normal((T, self.dim)) * self.amplitude / np.sqrt(self.dim)
         elif self.kind == "sinusoidal":
             phases = rng.uniform(0, 2 * np.pi, self.dim)
+            t = np.arange(T)[:, None]
             out = self.amplitude / np.sqrt(self.dim) * np.sin(2 * np.pi * t / self.period + phases)
         elif self.kind == "piecewise-step":
             n_seg = max(1, T // self.period + 1)

@@ -78,13 +78,16 @@ def explore(plant: LinearSystem, K, T0: int, disturbances, rng, costs=None):
 
 
 def moments_from_exploration(states: np.ndarray, signs: np.ndarray, k: int) -> MomentEstimates:
-    """N_j = mean over t of x_{t+j+1} z_t^T, j = 0..k, averaging T0 - k rounds."""
+    """N_j = mean over t of x_{t+j+1} z_t^T, j = 0..k, averaging T0 - k rounds.
+
+    Each sum is one matrix product; with +-1 signs every term is exact, so
+    only the order of the additions is BLAS's.
+    """
     T0 = signs.shape[0]
     if T0 <= k:
         raise ContractViolation("need T0 > k")
     n = T0 - k
-    N = np.stack([np.einsum("tx,tu->xu", states[j + 1: j + 1 + n], signs[:n]) / n
-                  for j in range(k + 1)])
+    N = np.stack([states[j + 1: j + 1 + n].T @ signs[:n] / n for j in range(k + 1)])
     return MomentEstimates(N)
 
 

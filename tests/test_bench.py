@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scream.bench import (ALGORITHMS, RESULT_COLUMNS, ControlScenario, Experimen
                           run_benchmark, run_cell, run_control_cell, run_sysid_benchmark,
                           summarize)
 from scream.csvio import emit_csv
+from scream.lds import DisturbanceGenerator, preset
 from scream.oco import ContractViolation
+from scream.sysid import IdentificationConfig, identify_system
 
 from conftest import parse_csv
 
@@ -269,6 +272,61 @@ class TestSysidBenchmark:
         assert len(report["trials"]) == 6
         trial = report["trials"][0]
         assert {"T0", "k", "err_A", "err_B", "moment_errors"} <= set(trial)
+
+    def test_shared_records_match_the_per_budget_draws(self, tmp_path, monkeypatch):
+        # reference: one fresh record per (budget, seed), drawn at that budget, budget-major
+        budgets, seeds = (200, 800, 400), (0, 1, 2)
+        p = preset("sysid-3x2", seed=0)
+        a_k = p.system.A - p.system.B @ p.K
+        trials = []
+        for budget in budgets:
+            for seed in seeds:
+                w = replace(p.disturbance, seed=seed + 31).sequence(budget)
+                ident, moments = identify_system(p.system, p.K, IdentificationConfig(budget, 2),
+                                                 w, seed=seed)
+                trials.append({
+                    "T0": budget, "k": 2, "seed": seed,
+                    "err_A": float(np.linalg.norm(ident.A_hat - p.system.A)),
+                    "err_B": float(np.linalg.norm(ident.B_hat - p.system.B)),
+                    "moment_errors": [float(np.linalg.norm(
+                        moments.N[j] - np.linalg.matrix_power(a_k, j) @ p.system.B))
+                        for j in range(3)]})
+        medians = {b: float(np.median([t["err_A"] for t in trials if t["T0"] == b]))
+                   for b in budgets}
+        slope = float(np.polyfit(np.log(list(medians)), np.log(list(medians.values())), 1)[0])
+        expected = {"scenario": "sysid-3x2", "k": 2, "budgets": list(budgets),
+                    "median_err_A": {str(b): m for b, m in medians.items()},
+                    "loglog_slope": slope, "trials": trials}
+
+        draws = []
+        original = DisturbanceGenerator.sequence
+
+        def spy(gen, T):
+            draws.append((gen.seed, T))
+            return original(gen, T)
+
+        monkeypatch.setattr(DisturbanceGenerator, "sequence", spy)
+        scenario = SysidScenario(budgets=budgets, seeds=seeds, outdir=str(tmp_path / "sysid"))
+        assert run_sysid_benchmark(scenario) == expected
+        assert draws == [(31, 800), (32, 800), (33, 800)]
+
+    def test_failed_draw_recorded_for_every_budget(self, tmp_path, monkeypatch):
+        original = DisturbanceGenerator.sequence
+
+        def flaky(gen, T):
+            if gen.seed == 1 + 31:
+                raise RuntimeError("synthetic draw failure")
+            return original(gen, T)
+
+        monkeypatch.setattr(DisturbanceGenerator, "sequence", flaky)
+        scenario = SysidScenario(budgets=(200, 800, 400), seeds=(0, 1, 2),
+                                 outdir=str(tmp_path / "sysid"))
+        report = run_sysid_benchmark(scenario)
+        assert [(t["T0"], t["seed"]) for t in report["trials"]] == [
+            (200, 0), (200, 2), (800, 0), (800, 2), (400, 0), (400, 2)]
+        lines = (tmp_path / "sysid" / "failures.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == [f"({budget}, 1): RuntimeError: synthetic draw failure"
+                         for budget in (200, 800, 400)]
 
     def test_trial_failures_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         import scream.bench as bench_mod

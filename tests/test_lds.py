@@ -156,10 +156,19 @@ class TestDisturbanceGenerators:
     @pytest.mark.parametrize("kind", ["sinusoidal", "piecewise-step"])
     @pytest.mark.parametrize("amplitude, period", [
         (float("nan"), 50), (float("inf"), 50), (-0.1, 50), (1.0, 0), (1.0, -3), (1.0, 0.5),
+        (1.0, 2.5),
     ])
     def test_bad_amplitude_or_period_rejected(self, kind, amplitude, period):
         with pytest.raises(ContractViolation):
             DisturbanceGenerator(kind, dim=2, amplitude=amplitude, period=period)
+
+    @pytest.mark.parametrize("kind", ["constant", "gaussian-clipped", "sinusoidal",
+                                      "piecewise-step", "adversarial-sign"])
+    def test_shorter_record_is_a_prefix_of_the_longer(self, kind):
+        # the identification sweep draws each seed's record once, at its longest budget
+        gen = DisturbanceGenerator(kind, dim=3, amplitude=0.7, seed=5, period=7)
+        for T0 in (1, 30, 49):  # 7 divides 49 but not 30
+            assert np.array_equal(gen.sequence(200)[:T0], gen.sequence(T0))
 
     def test_piecewise_step_is_constant_within_segments(self):
         gen = DisturbanceGenerator("piecewise-step", dim=2, amplitude=1.0, seed=3, period=25)

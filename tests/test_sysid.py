@@ -117,6 +117,33 @@ class TestIdentification:
             expected = sum(np.outer(states[t + j + 1], signs[t]) for t in range(n)) / n
             assert np.allclose(moments.N[j], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("T0", [250, 4000, 16000])
+    def test_moments_equal_the_einsum_sums_on_sign_inputs(self, T0):
+        # each term x z^T is exact for +-1 signs; the sums match the former einsum bit for bit
+        p = preset("sysid-3x2", seed=0)
+        w = p.disturbance.sequence(T0)
+        trajectory, signs = explore(p.system, p.K, T0, w, np.random.default_rng(T0))
+        k, n = 2, T0 - 2
+        moments = moments_from_exploration(trajectory.states, signs, k)
+        for j in range(k + 1):
+            einsum = np.einsum("tx,tu->xu", trajectory.states[j + 1: j + 1 + n], signs[:n]) / n
+            assert np.array_equal(moments.N[j], einsum)
+
+    def test_single_input_moments_within_summation_rounding_of_the_einsum(self):
+        # with d_u = 1 BLAS sums the product as a matrix-vector product, in its own order;
+        # any order is within n * eps of the sum of absolute terms
+        p = preset("scaling-3x1", seed=0)
+        T0, k = 4000, 2
+        trajectory, signs = explore(p.system, p.K, T0, p.disturbance.sequence(T0),
+                                    np.random.default_rng(0))
+        n = T0 - k
+        moments = moments_from_exploration(trajectory.states, signs, k)
+        for j in range(k + 1):
+            window = trajectory.states[j + 1: j + 1 + n]
+            einsum = np.einsum("tx,tu->xu", window, signs[:n]) / n
+            bound = n * np.finfo(float).eps * (np.abs(window).T @ np.abs(signs[:n])) / n
+            assert np.all(np.abs(moments.N[j] - einsum) <= bound)
+
 
 class TestExplore:
     def test_matches_step_loop(self):
