@@ -21,8 +21,7 @@ from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, Squar
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, build_step_size_pool,
                        hedge_step, nonuniform_prior, run_online, surrogate_losses)
 from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Trajectory,
-                  certify_strong_stability, closed_loop_rollout, preset, random_stable_system,
-                  recover_disturbance, step_dynamics)
+                  certify_strong_stability, closed_loop_rollout, preset, random_stable_system)
 from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, QuadraticTrackingCost,
                   dac_action, lag_table, lipschitz_constants, simulate_dac,
                   unary_truncated_gradient)

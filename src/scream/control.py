@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, dac_action, lag_table,
-                  simulate_dac, unary_truncated_gradient, unary_truncated_map)
-from .lds import LinearSystem, recover_disturbance, step_dynamics
+from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, lag_table, simulate_dac,
+                  unary_truncated_gradient, unary_truncated_map)
+from .lds import LinearSystem
 from .learners import MetaExpertLearner, ScreamConfig
 from .oco import ContractViolation, RegretReport, path_length
 
@@ -151,33 +151,52 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
     truncated loss.  Recovered disturbances are kept newest-first: row
     T - 1 - t of ``history`` holds round t's, followed by 2H + 1 zero rows, so
     the lags of round t (``lags[i]`` = w[t - 1 - i]) are one forward slice.
+
+    One check before round 0 raises :class:`ContractViolation` unless there is
+    one cost oracle per round, the disturbances are a finite (T, d_x) array,
+    ``x0`` (default the origin) a finite (d_x,) vector, and ``loop.system``,
+    ``loop.K`` and ``feasible`` have the plant's (d_x, d_u).  The rounds then
+    play u, x' = A x + B u + w and w_hat = x' - A_hat x - B_hat u inline.
     """
     disturbances = np.asarray(disturbances, dtype=float)
+    d_x, d_u, H = plant.d_x, plant.d_u, config.H
+    x0 = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
+    believed, K = loop.system, loop.K
+    if feasible is None:
+        feasible = DacFeasibleSet.from_certificate(loop.kappa, loop.gamma, believed.kappa_B,
+                                                   H, believed.d_u, believed.d_x)
+    if (disturbances.ndim != 2 or disturbances.shape[1] != d_x or x0.shape != (d_x,)
+            or believed.B.shape != (d_x, d_u) or K.shape != (d_u, d_x)
+            or (feasible.d_u, feasible.d_x) != (d_u, d_x)):
+        raise ContractViolation(
+            f"dimension mismatch with the plant's (d_x, d_u) = ({d_x}, {d_u}): disturbances "
+            f"{disturbances.shape}, x0 {x0.shape}, believed B {believed.B.shape}, K {K.shape}, "
+            f"feasible set ({feasible.d_u}, {feasible.d_x})")
     T = disturbances.shape[0]
     if len(costs) != T:
         raise ContractViolation("need one cost oracle per round")
-    if feasible is None:
-        feasible = DacFeasibleSet.from_certificate(loop.kappa, loop.gamma, loop.system.kappa_B,
-                                                   config.H, loop.system.d_u, loop.system.d_x)
+    if not (np.isfinite(x0).all() and np.isfinite(disturbances).all()):
+        raise ContractViolation("x0 and the disturbances must be finite")
     controller = ScreamControl(loop, feasible, config)
-    d_x, d_u, H = plant.d_x, plant.d_u, config.H
+    A, B, A_hat, B_hat = plant.A, plant.B, believed.A, believed.B
     states = np.empty((T + 1, d_x))
     actions = np.empty((T, d_u))
     history = np.zeros((T + 2 * H + 1, d_x))
     values = np.empty(T)
     params = np.empty((T, H, d_u, d_x))
     weights = np.empty((T, controller.n_experts))
-    states[0] = np.zeros(d_x) if x0 is None else np.asarray(x0, dtype=float)
+    states[0] = x0
     for t in range(T):
         M = params[t] = controller.decide()
         weights[t] = controller.weights
         lags = history[T - t: T - t + 2 * H + 1]
-        u = actions[t] = dac_action(loop.K, M, states[t], lags)
-        values[t] = costs[t].value(states[t], u)
+        x = states[t]
+        u = actions[t] = -K @ x + np.einsum("kux,kx->u", M, lags[:H])
+        values[t] = costs[t].value(x, u)
         if t >= H:
             controller.step(unary_truncated_gradient(costs[t], loop, M, lags))
-        states[t + 1] = step_dynamics(plant, states[t], u, disturbances[t])
-        history[T - 1 - t] = recover_disturbance(loop.system, states[t + 1], states[t], u)
+        x_next = states[t + 1] = A @ x + B @ u + disturbances[t]
+        history[T - 1 - t] = x_next - A_hat @ x - B_hat @ u
     return ControlRun(states, actions, disturbances, values, params, weights, list(costs),
                       controller)
 

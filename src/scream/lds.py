@@ -47,15 +47,6 @@ class LinearSystem:
         return self.B.shape[1]
 
 
-def step_dynamics(system: LinearSystem, x, u, w) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (system.d_x,) or u.shape != (system.d_u,) or w.shape != (system.d_x,):
-        raise ContractViolation("dimension mismatch in dynamics step")
-    return system.A @ x + system.B @ u + w
-
-
 def closed_loop_rollout(system: LinearSystem, K, offsets, disturbances,
                         x0=None) -> tuple[np.ndarray, np.ndarray]:
     """Every round of x' = A x + B u + w under u = -K x + offsets[t], at once.
@@ -88,18 +79,9 @@ def closed_loop_rollout(system: LinearSystem, K, offsets, disturbances,
     return states, offsets - states[:-1] @ np.ascontiguousarray(K.T)
 
 
-def recover_disturbance(system: LinearSystem, x_next, x, u) -> np.ndarray:
-    x_next = np.asarray(x_next, dtype=float)
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (system.d_x,) or u.shape != (system.d_u,) or x_next.shape != (system.d_x,):
-        raise ContractViolation("dimension mismatch in disturbance recovery")
-    return x_next - system.A @ x - system.B @ u
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Similarity transform A - B K = H L H^{-1} with contraction and norm bounds.
+    """Contraction and norm bounds of a similarity transform A - B K = H L H^{-1}.
 
     ``accepted`` is False either because a declared bound fails or because the
     closed-loop matrix could not be reliably diagonalized; ``reason`` says which.
@@ -108,8 +90,6 @@ class StabilityCertificate:
     accepted: bool
     kappa: float
     gamma: float
-    transform: np.ndarray | None = None   # H (possibly complex)
-    modes: np.ndarray | None = None       # diagonal of L
     reason: str = ""
 
 
@@ -146,15 +126,15 @@ def certify_strong_stability(system: LinearSystem, K, kappa: float | None = None
     kappa = measured_kappa if kappa is None else float(kappa)
     gamma = measured_gamma if gamma is None else float(gamma)
     if gamma <= 0 or gamma >= 1:
-        return StabilityCertificate(False, kappa, gamma, eigvecs, eigvals,
+        return StabilityCertificate(False, kappa, gamma,
                                     reason=f"spectral radius {rho:.6g} leaves no contraction margin")
     if rho > 1 - gamma + 1e-12:
-        return StabilityCertificate(False, kappa, gamma, eigvecs, eigvals,
+        return StabilityCertificate(False, kappa, gamma,
                                     reason=f"||L|| = {rho:.6g} exceeds 1 - gamma = {1 - gamma:.6g}")
     if measured_kappa > kappa + 1e-12:
-        return StabilityCertificate(False, kappa, gamma, eigvecs, eigvals,
+        return StabilityCertificate(False, kappa, gamma,
                                     reason=f"norm bound {measured_kappa:.6g} exceeds kappa = {kappa:.6g}")
-    return StabilityCertificate(True, kappa, gamma, eigvecs, eigvals)
+    return StabilityCertificate(True, kappa, gamma)
 
 
 _KINDS = ("constant", "gaussian-clipped", "sinusoidal", "piecewise-step", "adversarial-sign")

@@ -163,7 +163,6 @@ class MetaExpertLearner:
         self.meta_rate = float(meta_rate)
         self.surrogate_lam = float(surrogate_lam)
         self.rounds = 0
-        self.grad_evals = 0
         # diagnostics for the movement-bound checks
         self.meta_movement_slack = -math.inf
         self.expert_switching = np.zeros(len(etas))
@@ -171,11 +170,6 @@ class MetaExpertLearner:
     @property
     def n_experts(self) -> int:
         return len(self.etas)
-
-    @property
-    def experts(self) -> np.ndarray:
-        """The experts as an (n, *shape) view."""
-        return self.flat.reshape(self._experts_shape)
 
     def decide(self) -> np.ndarray:
         """The weighted mean of the experts, kept for :meth:`observe` until the next :meth:`step`.
@@ -190,7 +184,6 @@ class MetaExpertLearner:
     def step(self, gradient) -> None:
         """Surrogate losses, Hedge, meta slack, then the projected expert step, from one gradient."""
         g = np.asarray(gradient, dtype=float).reshape(-1)
-        self.grad_evals += 1
         self._decision = None
 
         ell = surrogate_losses(self.flat, self.movement, g, self.surrogate_lam)
@@ -248,7 +241,6 @@ class OgdMemory:
         self.domain = domain
         self.point = np.zeros(domain.dim)
         self.switching = 0.0
-        self.grad_evals = 0
         self.rounds = 0
 
     def decide(self) -> np.ndarray:
@@ -256,7 +248,6 @@ class OgdMemory:
 
     def observe(self, loss: SquareLoss) -> None:
         gradient = loss.grad(self.point)
-        self.grad_evals += 1
         new_point = self.domain.project(self.point - self.step_size * gradient)
         moved = new_point - self.point
         self.switching += math.sqrt(float(moved.dot(moved)))  # np.linalg.norm's arithmetic

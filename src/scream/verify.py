@@ -201,9 +201,16 @@ def check_transfer_equivalence(rng, systems: int = 5):
                   f"(worst rel err {worst:.2e})")
 
 
+FD_STEP, FD_TOL = 1.0, 1e-10  # the step of check_gradient_fd and its worst relative error
+
+
 def check_gradient_fd(rng, cases: int = 5):
-    """Gradients against central differences of the window-form loss; trial i uses seed 200 + i."""
-    H, step = 3, 1e-5
+    """Gradients against central differences of the window-form loss; trial i uses seed 200 + i.
+
+    The loss is quadratic in M, so the differences are exact up to rounding at
+    any step; at ``FD_STEP`` rounding stays near 1e-12, far below ``FD_TOL``.
+    """
+    H, step = 3, FD_STEP
     worst = 0.0
     for trial in range(cases):
         system = random_stable_system(3, 2, float(rng.uniform(0.5, 0.85)), seed=200 + trial)
@@ -223,7 +230,7 @@ def check_gradient_fd(rng, cases: int = 5):
             fd = (up - down) / (2 * step)
             rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-6)
             worst = max(worst, rel)
-    if worst > 1e-5:
+    if worst > FD_TOL:
         return False, f"gradient/difference mismatch {worst:.3g}"
     return True, (f"gradients match finite differences on {cases} instances "
                   f"(worst entry rel err {worst:.2e})")

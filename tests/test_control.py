@@ -11,7 +11,7 @@ from scream.control import (COMPARATOR_ITERS, ControlConfig, ScreamControl,
                             segment_boundaries)
 from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
                         lag_table, lipschitz_constants, simulate_dac)
-from scream.lds import DisturbanceGenerator, preset, recover_disturbance
+from scream.lds import DisturbanceGenerator, LinearSystem, preset
 from scream.learners import ScreamConfig, build_step_size_pool, nonuniform_prior, pool_size
 from scream.oco import ContractViolation
 from scream.verify import check_simplex
@@ -105,7 +105,7 @@ class TestScreamControlRound:
         # reference: plain projected-gradient DAC controller with the same step size and
         # its own window of the 2H + 1 latest recovered disturbances, newest first
         from scream.dac import unary_truncated_gradient
-        from scream.lds import recover_disturbance, step_dynamics
+        A, B = loop.system.A, loop.system.B
         eta = etas[0]
         H = config.H
         M = feasible.zeros()
@@ -117,13 +117,12 @@ class TestScreamControlRound:
             if t + 1 > H:
                 g = unary_truncated_gradient(costs[t], loop, M, window)
                 M = feasible.project(M - eta * g)
-            x_next = step_dynamics(loop.system, x, u, w[t])
-            window = np.vstack([recover_disturbance(loop.system, x_next, x, u), window[:-1]])
+            x_next = A @ x + B @ u + w[t]
+            window = np.vstack([x_next - A @ x - B @ u, window[:-1]])
             x = x_next
 
     def test_two_round_scalar_hand_trace(self):
         # scalar plant, H = 1: warm-up round then one hand-computed learning round
-        from scream.lds import LinearSystem
         loop = ClosedLoop(LinearSystem(np.array([[0.5]]), np.array([[1.0]])), np.zeros((1, 1)))
         feasible = DacFeasibleSet(np.array([0.4]), 1, 1)
         constants = lipschitz_constants(1.0, 0.5, 1.0, 1.0, 1.0, 1, 1, 1)
@@ -152,8 +151,8 @@ class TestScreamControlRound:
         loop, feasible, config, costs, w = small_setup(T=80, H=2)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
         controller = run.controller
-        assert controller.grad_evals == 80 - config.H
-        assert feasible.contains(controller.experts)
+        assert sum(cost.grad_calls for cost in costs) == controller.rounds == 80 - config.H
+        assert feasible.contains(controller.flat.reshape((controller.n_experts,) + controller.shape))
         assert check_simplex(controller.weights, tol=1e-9)
         # parameters moved once learning started
         assert run.param_switching() > 0
@@ -179,20 +178,22 @@ class TestScreamControlRound:
         loop, feasible, config, costs, w = small_setup(T=40)
         controller = ScreamControl(loop, feasible, config)
         agg = controller.decide()
-        manual = sum(p * m for p, m in zip(controller.weights, controller.experts))
+        experts = controller.flat.reshape((controller.n_experts,) + controller.shape)
+        manual = sum(p * m for p, m in zip(controller.weights, experts))
         assert np.linalg.norm((agg - manual).ravel()) <= 1e-12
 
     def test_actions_replay_from_recorded_arrays(self):
         # each action is the DAC policy of its round's parameters on the recovered disturbances
         loop, feasible, config, costs, w = gen_control_scenario(ControlScenario(), 0)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
-        recovered = [recover_disturbance(loop.system, run.states[t + 1], run.states[t],
-                                         run.actions[t]) for t in range(run.T)]
+        A, B = loop.system.A, loop.system.B
+        recovered = [run.states[t + 1] - A @ run.states[t] - B @ run.actions[t]
+                     for t in range(run.T)]
         lags = lag_table(recovered, config.H)
         for t in range(run.T):
             assert np.array_equal(run.actions[t],
                                   dac_action(loop.K, run.params[t], run.states[t], lags[t]))
-        assert run.controller.grad_evals == run.T - config.H
+        assert sum(cost.grad_calls for cost in costs) == run.T - config.H
 
     def test_one_gradient_per_learning_round(self):
         loop, feasible, config, costs, w = small_setup(T=60)
@@ -201,6 +202,33 @@ class TestScreamControlRound:
         # warm-up rounds evaluate no gradient; learning rounds exactly one
         assert grad_counts[: config.H] == [0] * config.H
         assert grad_counts[config.H:] == [1] * (60 - config.H)
+
+
+class TestInputCheck:
+    """run_scream_control checks its inputs once, before any cost oracle is asked."""
+
+    @pytest.mark.parametrize("bad", ["x0 scalar", "x0 of length 1", "NaN in last disturbance",
+                                     "disturbances of width 2", "believed system d_u",
+                                     "feasible set dimensions"])
+    def test_bad_input_raises_before_round_0(self, bad):
+        loop, feasible, config, costs, w = small_setup(T=30)
+        plant, x0 = loop.system, None
+        if bad == "x0 scalar":
+            x0 = 0.5
+        elif bad == "x0 of length 1":
+            x0 = np.ones(1)
+        elif bad == "NaN in last disturbance":
+            w = w.copy()
+            w[-1, 1] = np.nan
+        elif bad == "disturbances of width 2":
+            w = w[:, :2]
+        elif bad == "believed system d_u":
+            loop = ClosedLoop(LinearSystem(plant.A, plant.B[:, :1]), np.zeros((1, 3)))
+        else:
+            feasible = DacFeasibleSet(feasible.caps, 1, 3)
+        with pytest.raises(ContractViolation):
+            run_scream_control(loop, plant, w, costs, config, feasible=feasible, x0=x0)
+        assert [cost.value_calls for cost in costs] == [0] * 30
 
 
 class TestControlRegret:
@@ -384,7 +412,7 @@ def test_one_lag_table_per_learning_round(monkeypatch):
 
     monkeypatch.setattr(dac, "_lag_table", counted)
     run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
-    assert run.controller.grad_evals == 60 - 3
+    assert sum(cost.grad_calls for cost in costs) == 60 - 3
     assert calls == [(7, 3)] * (60 - 3)
 
 

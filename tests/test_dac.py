@@ -317,6 +317,23 @@ class TestUnaryGradient:
                 fd = (up - down) / (2 * h)
                 assert abs(fd - grad[idx]) <= 1e-5 * max(abs(fd), abs(grad[idx]), 1e-6)
 
+    def test_gradient_check_sees_an_entry_off_by_1e_8_relative(self, monkeypatch):
+        # the largest entry of every gradient is off by 1e-8 relative: the check at step
+        # FD_STEP fails it, the check at the old step and bound of 1e-5 passed it
+        exact = verify.unary_truncated_gradient
+
+        def off(cost, loop, M, lags):
+            grad = exact(cost, loop, M, lags)
+            grad[np.unravel_index(np.argmax(np.abs(grad)), grad.shape)] *= 1 + 1e-8
+            return grad
+
+        assert verify.check_gradient_fd(np.random.default_rng(0))[0]
+        monkeypatch.setattr(verify, "unary_truncated_gradient", off)
+        assert not verify.check_gradient_fd(np.random.default_rng(0))[0]
+        monkeypatch.setattr(verify, "FD_STEP", 1e-5)
+        monkeypatch.setattr(verify, "FD_TOL", 1e-5)
+        assert verify.check_gradient_fd(np.random.default_rng(0))[0]
+
     def test_analytic_gradient_reads_no_cost_value(self, rng):
         loop = make_loop(seed=18)
         cost = QuadraticTrackingCost(rng.standard_normal(3))

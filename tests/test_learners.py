@@ -162,7 +162,7 @@ class TestScream:
         p = raw / raw.sum()
         w = np.clip(w - eta * g2, -1.0, 1.0)
         assert learner.weights == pytest.approx(p, abs=1e-14)
-        assert learner.experts[:, 0] == pytest.approx(w, abs=1e-14)
+        assert learner.flat[:, 0] == pytest.approx(w, abs=1e-14)
 
     def test_one_gradient_per_round(self, rng):
         T, d = 30, 3
@@ -180,14 +180,14 @@ class TestScream:
             learner.decide()
             learner.observe(SquareLoss(rng.standard_normal(d), float(rng.standard_normal())))
             assert check_simplex(learner.weights, tol=1e-12)
-            assert all(domain.contains(w) for w in learner.experts)
+            assert all(domain.contains(w) for w in learner.flat)
 
     def test_aggregation_identity(self, rng):
         config = ScreamConfig(T=20, grad_bound=1.0, diameter=2.0, lam=0.3)
         learner = Scream(config, DomainBall(2, 2.0))
         for t in range(20):
             w = learner.decide()
-            assert np.linalg.norm(w - learner.weights @ learner.experts) <= 1e-12
+            assert np.linalg.norm(w - learner.weights @ learner.flat) <= 1e-12
             learner.observe(SquareLoss(rng.standard_normal(2), 0.0))
 
 
@@ -209,9 +209,9 @@ class TestMetaExpertEngine:
             flat.step(g)
             blocks.step(g.reshape(2, 3))
         assert np.array_equal(blocks.weights, flat.weights)
-        assert np.array_equal(blocks.experts.reshape(flat.n_experts, -1), flat.experts)
+        assert np.array_equal(blocks.flat, flat.flat)
         assert np.array_equal(blocks.expert_switching, flat.expert_switching)
-        assert blocks.rounds == blocks.grad_evals == 40
+        assert blocks.rounds == flat.rounds == 40
 
     def test_observe_steps_on_the_gradient_at_the_decision(self, rng):
         ball = DomainBall(3, 2.0)
@@ -221,7 +221,7 @@ class TestMetaExpertEngine:
             loss = SquareLoss(rng.standard_normal(3), float(rng.standard_normal()))
             by_step.step(loss.grad(by_step.decide()))
             by_loss.observe(loss)
-        assert np.array_equal(by_loss.experts, by_step.experts)
+        assert np.array_equal(by_loss.flat, by_step.flat)
         assert np.array_equal(by_loss.weights, by_step.weights)
 
     def test_one_decision_per_round(self, rng):
@@ -415,7 +415,7 @@ class TestMetaRegretBound:
         decisions, expert_hist = [], []
         for loss in losses:
             decisions.append(learner.decide())
-            expert_hist.append(learner.experts.copy())
+            expert_hist.append(learner.flat.copy())
             learner.observe(loss)
         decisions = np.asarray(decisions)
         expert_hist = np.asarray(expert_hist)  # (T, N, d)

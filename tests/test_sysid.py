@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from scream.control import ControlConfig, run_scream_control
-from scream.dac import ClosedLoop, QuadraticTrackingCost, lipschitz_constants
-from scream.lds import (DisturbanceGenerator, LinearSystem, certify_strong_stability, preset,
-                        recover_disturbance)
+from scream.dac import ClosedLoop, QuadraticTrackingCost, dac_action, lag_table, lipschitz_constants
+from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
 from scream.oco import ContractViolation
 from scream.sysid import (IdentificationConfig, InsufficientExcitation, explore, identify_system,
                           moments_from_exploration, run_unknown_pipeline)
@@ -95,14 +94,13 @@ class TestIdentification:
                                    gen.sequence(3000), seed=5)
         da = np.linalg.norm(ident.A_hat - p.system.A, 2)
         db = np.linalg.norm(ident.B_hat - p.system.B, 2)
-        from scream.lds import recover_disturbance, step_dynamics
         estimate = ident.as_system()
         for _ in range(100):
             x = rng.standard_normal(3)
             u = rng.standard_normal(2)
             w = rng.standard_normal(3) * 0.1
-            x_next = step_dynamics(p.system, x, u, w)
-            w_hat = recover_disturbance(estimate, x_next, x, u)
+            x_next = p.system.A @ x + p.system.B @ u + w
+            w_hat = x_next - estimate.A @ x - estimate.B @ u
             cap = da * np.linalg.norm(x) + db * np.linalg.norm(u)
             assert np.linalg.norm(w - w_hat) <= cap + 1e-10
 
@@ -238,12 +236,18 @@ class TestPipeline:
         da = np.linalg.norm(pipe.identified.A_hat - p.system.A, 2)
         db = np.linalg.norm(pipe.identified.B_hat - p.system.B, 2)
         believed = pipe.identified.as_system()
-        recovered = np.array([recover_disturbance(believed, run.states[t + 1], run.states[t],
-                                                  run.actions[t]) for t in range(run.T)])
+        recovered = np.array([run.states[t + 1] - believed.A @ run.states[t]
+                              - believed.B @ run.actions[t] for t in range(run.T)])
         gaps = np.linalg.norm(recovered - run.disturbances, axis=1)
         caps = (da * np.linalg.norm(run.states[:-1], axis=1)
                 + db * np.linalg.norm(run.actions, axis=1))
         assert np.all(gaps <= caps + 1e-10)
+        # the controller acted on exactly these recoveries, made with (A_hat, B_hat)
+        lags = lag_table(recovered, config.H)
+        assert np.any(run.params != 0.0)
+        for t in range(run.T):
+            assert np.array_equal(run.actions[t],
+                                  dac_action(p.K, run.params[t], run.states[t], lags[t]))
 
     def test_budget_must_leave_learning_rounds(self):
         p, loop_truth, config, costs, w = pipeline_pieces()
