@@ -23,8 +23,7 @@ from .learners import (Ader, OgdMemory, Scream, ScreamConfig, build_step_size_po
 from .lds import (DisturbanceGenerator, LinearSystem, StabilityCertificate, Trajectory,
                   certify_strong_stability, closed_loop_rollout, preset, random_stable_system)
 from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, QuadraticTrackingCost,
-                  dac_action, lag_table, lipschitz_constants, simulate_dac,
-                  unary_truncated_gradient)
+                  lag_table, lipschitz_constants, simulate_dac, unary_truncated_gradient)
 from .control import (ControlConfig, ScreamControl, dynamic_policy_regret_control,
                       run_scream_control)
 from .sysid import (IdentificationConfig, IdentifiedSystem, InsufficientExcitation,

@@ -39,6 +39,15 @@ SUMMARY_COLUMNS = ("scenario", "algorithm", "alpha", "n_seeds",
 ALGORITHMS = ("ogd", "ader", "scream")
 
 
+def check_distinct(config, *keys: str) -> None:
+    """Raise :class:`ContractViolation` on the first of ``keys`` whose list repeats a value."""
+    for key in keys:
+        values = getattr(config, key)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ContractViolation(f"{key} must not repeat a value, got {value!r} twice")
+
+
 def oco_learner(config: ExperimentConfig, algorithm: str, lam: float):
     """The learner of one benchmark algorithm, each tuned from ScreamConfig(T, G, D, lam).
 
@@ -103,6 +112,7 @@ class ExperimentConfig:
                 "truth radius must lie in (0, D/2] and keep Gamma^2 (D/2 + r) + |noise| Gamma <= G "
                 f"with noise in [{self.noise_low:g}, {self.noise_high:g}], so r <= "
                 f"{self.model_radius:.6g}, which leaves no valid radius")
+        check_distinct(self, "seeds", "alphas", "algorithms")
 
     @property
     def grad_bound(self) -> float:
@@ -339,6 +349,7 @@ class ControlScenario:
                 raise ContractViolation(f"{key} must be finite and non-negative, got {value}")
         if not self.seeds:
             raise ContractViolation("need at least one seed")
+        check_distinct(self, "seeds")
 
     def segments(self) -> list[tuple[int, int]]:
         return segment_boundaries(self.T, self.segment_length)
@@ -452,6 +463,7 @@ class SysidScenario:
                 IdentificationConfig(budget, self.k)
             except ContractViolation as exc:
                 raise ContractViolation(f"budget {budget} with k = {self.k}: {exc}") from None
+        check_distinct(self, "seeds", "budgets")
 
 
 def run_sysid_benchmark(scenario: SysidScenario) -> dict:

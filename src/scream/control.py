@@ -114,10 +114,6 @@ class ControlRun:
     def T(self) -> int:
         return self.actions.shape[0]
 
-    def param_switching(self) -> float:
-        diffs = np.diff(self.params, axis=0).reshape(self.T - 1, -1) if self.T > 1 else np.zeros((0, 1))
-        return float(np.sum(np.linalg.norm(diffs, axis=1)))
-
 
 def control_trajectory_rows(run: ControlRun) -> list[dict]:
     """Per-round rows (t, cost, state/action norms, parameter norm, meta entropy, disturbance norm)."""
@@ -203,16 +199,14 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
 
 def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparator_params,
                                   feasible: DacFeasibleSet) -> RegretReport:
-    """Regret of a finished run against a sequence of DAC comparator policies.
+    """Regret of a finished run against DAC comparator policies, one per round (T, H, d_u, d_x).
 
     Comparators are replayed on the same recorded disturbance sequence and the
     same per-round costs (counterfactual simulation).  The path length is the
-    Frobenius movement of the comparator parameters; the switching cost is
-    priced at the controller's configured ``lam``.
+    Frobenius movement of the comparator parameters; the switching cost is the
+    controller's own, priced at its configured ``lam``.
     """
     comp = np.asarray(comparator_params, dtype=float)
-    if comp.ndim == 3:
-        comp = np.broadcast_to(comp, (run.T,) + comp.shape)
     if comp.shape[0] != run.T:
         raise ContractViolation("need one comparator policy per round")
     if run.disturbances.shape[0] != run.T:
@@ -225,7 +219,7 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
     cumulative = float(np.sum(run.cost_values))
     return RegretReport(
         cumulative_loss=cumulative,
-        switching_cost=run.controller.config.lam * run.param_switching(),
+        switching_cost=run.controller.config.lam * path_length(run.params.reshape(run.T, -1)),
         dynamic_policy_regret=cumulative - float(np.sum(replay.costs)),
         path_length=path_length(comp.reshape(run.T, -1)),
     )

@@ -9,7 +9,8 @@ feasible set is ``kappa_B * kappa^3 * (1 - gamma)^(k + 1)``.
 
 States reached under a DAC history are linear in the parameters.  The affine
 map and the gradient of the unary truncated loss here reduce the control problem
-to OCO with memory length H + 2; :mod:`scream.verify` holds the window form.
+to OCO with memory length H + 2; :mod:`scream.verify` holds the window form
+and the DAC action it plays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .oco import ContractViolation
 
 
 class ClosedLoop:
-    """A system with its stabilizing controller; caches powers of A - B K."""
+    """A system with its stabilizing controller and one cached table of powers of A_K = A - B K."""
 
     def __init__(self, system: LinearSystem, K, certificate: StabilityCertificate | None = None):
         self.system = system
@@ -37,8 +38,6 @@ class ClosedLoop:
             raise ContractViolation(f"controller is not certified strongly stable: {certificate.reason}")
         self.certificate = certificate
         self.a_closed = system.A - system.B @ self.K
-        self._powers = np.empty((0, system.d_x, system.d_x))
-        self._powers_b = np.empty((0, system.d_x, system.d_u))
         self._flat = {}
 
     @property
@@ -49,40 +48,22 @@ class ClosedLoop:
     def gamma(self) -> float:
         return self.certificate.gamma
 
-    def _grow(self, count: int) -> None:
-        """Extend both stacks to ``count`` powers; they are kept read-only and handed out as slices."""
-        have = self._powers.shape[0]
-        if have >= count:
-            return
-        powers = np.empty((count,) + self._powers.shape[1:])
-        powers[:have] = self._powers
-        for j in range(have, count):
-            powers[j] = self.a_closed @ powers[j - 1] if j else np.eye(powers.shape[1])
-        powers_b = powers @ self.system.B
-        powers.flags.writeable = powers_b.flags.writeable = False
-        self._powers, self._powers_b = powers, powers_b
-
-    def powers(self, count: int) -> np.ndarray:
-        """Stack [I, A_K, A_K^2, ..., A_K^(count-1)] (a read-only view)."""
-        self._grow(count)
-        return self._powers[:count]
-
-    def powers_times_b(self, count: int) -> np.ndarray:
-        """Stack [B, A_K B, ..., A_K^(count-1) B] (a read-only view)."""
-        self._grow(count)
-        return self._powers_b[:count]
-
     def flat_powers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Both stacks side by side, as read-only (d_x, count d_x) and (d_x, count d_u) arrays.
+        """[I, A_K, ..., A_K^(count-1)] and [B, A_K B, ..., A_K^(count-1) B] side by side.
 
-        Column block j of each is A_K^j and A_K^j B, so the first maps the
-        stacked vector [z_0; ...; z_(count-1)] to sum_j A_K^j z_j.  Built once
-        per ``count``.
+        Read-only (d_x, count d_x) and (d_x, count d_u) arrays whose column
+        block j is A_K^j and A_K^j B, so the first maps the stacked vector
+        [z_0; ...; z_(count-1)] to sum_j A_K^j z_j.  ``flat.reshape(d_x, count,
+        -1).swapaxes(0, 1)`` is the stack of blocks.  Built once per ``count``.
         """
         flat = self._flat.get(count)
         if flat is None:
-            flat = tuple(np.ascontiguousarray(np.swapaxes(stack, 0, 1)).reshape(stack.shape[1], -1)
-                         for stack in (self.powers(count), self.powers_times_b(count)))
+            d_x = self.system.d_x
+            powers = np.empty((count, d_x, d_x))
+            for j in range(count):
+                powers[j] = self.a_closed @ powers[j - 1] if j else np.eye(d_x)
+            flat = tuple(np.ascontiguousarray(np.swapaxes(stack, 0, 1)).reshape(d_x, -1)
+                         for stack in (powers, powers @ self.system.B))
             for array in flat:
                 array.flags.writeable = False
             self._flat[count] = flat
@@ -217,37 +198,23 @@ class DacFeasibleSet:
         return raw * (levels / np.maximum(self.spectral_norms(raw), 1e-12))[:, None, None]
 
 
-def dac_action(K, M, x, lags) -> np.ndarray:
-    """u = -K x + sum_k M[k] @ lags[k], with lags[k] the disturbance k+1 steps back."""
-    K = np.asarray(K, dtype=float)
-    M = np.asarray(M, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lags = np.asarray(lags, dtype=float)
-    H = M.shape[0]
-    if lags.shape[0] < H or lags.shape[1] != M.shape[2] or K.shape != (M.shape[1], x.shape[0]):
-        raise ContractViolation("dimension mismatch in DAC action")
-    return -K @ x + np.einsum("kux,kx->u", M, lags[:H])
-
-
 def simulate_dac(system: LinearSystem, K, M_seq, disturbances, x0=None, costs=None) -> Trajectory:
-    """Roll the closed loop forward under a (possibly time-varying) DAC policy.
+    """Roll the closed loop forward under a time-varying DAC policy.
 
-    ``M_seq`` is either one parameter set used every round or a length-T
-    sequence; the action at each round uses the actual past disturbances.  The
-    offsets sum_k M_t[k] w_(t-1-k) come from one einsum over :func:`lag_table`,
-    and the rollout is one closed-loop scan.
+    ``M_seq`` holds one parameter set per round, shape (T, H, d_u, d_x); a
+    fixed policy is ``np.broadcast_to(M, (T,) + M.shape)``.  The action at
+    each round uses the actual past disturbances.  The offsets
+    sum_k M_t[k] w_(t-1-k) come from one einsum over :func:`lag_table`, and
+    the rollout is one closed-loop scan.
     """
     w = np.asarray(disturbances, dtype=float)
     M_seq = np.asarray(M_seq, dtype=float)
     T = w.shape[0] if w.ndim == 2 else -1
-    shapes_ok = (w.ndim == 2 and w.shape[1] == system.d_x and M_seq.ndim in (3, 4)
-                 and M_seq.shape[-2:] == (system.d_u, system.d_x)
-                 and (M_seq.ndim == 3 or M_seq.shape[0] == T))
-    if not shapes_ok:
+    if not (w.ndim == 2 and w.shape[1] == system.d_x and M_seq.ndim == 4
+            and M_seq.shape[0] == T and M_seq.shape[2:] == (system.d_u, system.d_x)):
         raise ContractViolation(f"dimension mismatch in DAC rollout: M_seq {M_seq.shape}, "
                                 f"disturbances {w.shape}")
-    spec = "kux,tkx->tu" if M_seq.ndim == 3 else "tkux,tkx->tu"
-    offsets = np.einsum(spec, M_seq, lag_table(w, M_seq.shape[-3]))
+    offsets = np.einsum("tkux,tkx->tu", M_seq, lag_table(w, M_seq.shape[1]))
     states, actions = closed_loop_rollout(system, K, offsets, w, x0=x0)
     values = np.zeros(T)
     if costs is not None:
@@ -292,8 +259,10 @@ def unary_truncated_map(loop: ClosedLoop, lags, H: int):
         raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
     batch, d_x, d_u = lags.shape[:-2], loop.system.d_x, loop.system.d_u
     P = H * d_u * d_x
-    y0 = np.einsum("jxz,...jz->...x", loop.powers(H + 1), lags[..., : H + 1, :])
-    L = np.einsum("jxu,...jkz->...xkuz", loop.powers_times_b(H + 1), _lag_table(lags, H))
+    powers, powers_b = (np.ascontiguousarray(flat.reshape(d_x, H + 1, -1).swapaxes(0, 1))
+                        for flat in loop.flat_powers(H + 1))
+    y0 = np.einsum("jxz,...jz->...x", powers, lags[..., : H + 1, :])
+    L = np.einsum("jxu,...jkz->...xkuz", powers_b, _lag_table(lags, H))
     D = np.einsum("vu,...kz->...vkuz", np.eye(d_u), lags[..., :H, :])
     return y0, L.reshape(batch + (d_x, P)), D.reshape(batch + (d_u, P))
 

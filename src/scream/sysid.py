@@ -81,14 +81,18 @@ def moments_from_exploration(states: np.ndarray, signs: np.ndarray, k: int) -> M
     """N_j = mean over t of x_{t+j+1} z_t^T, j = 0..k, averaging T0 - k rounds.
 
     Each sum is one matrix product; with +-1 signs every term is exact, so
-    only the order of the additions is BLAS's.
+    only the order of the additions is BLAS's.  A single input is padded with
+    a zero column: as a matrix-vector product BLAS would sum in an order that
+    changes with its thread count, and the matrix product's order does not.
     """
-    T0 = signs.shape[0]
+    T0, d_u = signs.shape
     if T0 <= k:
         raise ContractViolation("need T0 > k")
     n = T0 - k
+    if d_u == 1:
+        signs = np.pad(signs, ((0, 0), (0, 1)))
     N = np.stack([states[j + 1: j + 1 + n].T @ signs[:n] / n for j in range(k + 1)])
-    return MomentEstimates(N)
+    return MomentEstimates(N[..., :d_u])
 
 
 def recover_from_moments(moments: MomentEstimates, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

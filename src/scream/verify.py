@@ -6,16 +6,16 @@ and 8 call the same functions with their own seeds and larger counts.  The
 sweeps cover simplex preservation, both projections, the movement
 decomposition, the prior, one gradient per round, the transfer-matrix
 expansion, the truncated-loss gradients and the truncation bounds.  The
-window-form reference they check the controller's path against lives here too.
+window-form reference they check the controller's path against lives here too,
+with the DAC action it plays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action, lag_table,
-                  simulate_dac, state_action_bound, tracking_grad_coeff,
-                  unary_truncated_gradient)
+from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lag_table, simulate_dac,
+                  state_action_bound, tracking_grad_coeff, unary_truncated_gradient)
 from .lds import DisturbanceGenerator, clip_to_ball, preset, random_stable_system
 from .learners import Scream, ScreamConfig, hedge_step, nonuniform_prior, run_online
 from .oco import ContractViolation, DomainBall, SquareLossStream
@@ -35,8 +35,8 @@ def transfer_matrix(loop: ClosedLoop, i: int, h: int, M_seq) -> np.ndarray:
     if not 0 <= i <= H + h:
         raise ContractViolation(f"transfer index i = {i} outside [0, H + h] = [0, {H + h}]")
     d_x = loop.system.d_x
-    powers = loop.powers(h + 1)
-    powers_b = loop.powers_times_b(h + 1)
+    powers, powers_b = (np.ascontiguousarray(flat.reshape(d_x, h + 1, -1).swapaxes(0, 1))
+                        for flat in loop.flat_powers(h + 1))
     psi = powers[i].copy() if i <= h else np.zeros((d_x, d_x))
     for j in range(h + 1):
         k = i - j - 1
@@ -59,6 +59,18 @@ def transfer_state(loop: ClosedLoop, M_seq, lags) -> np.ndarray:
     for i in range(min(lags.shape[0], H + h + 1)):
         x += transfer_matrix(loop, i, h, M_seq) @ lags[i]
     return x
+
+
+def dac_action(K, M, x, lags) -> np.ndarray:
+    """u = -K x + sum_k M[k] @ lags[k], with lags[k] the disturbance k+1 steps back."""
+    K = np.asarray(K, dtype=float)
+    M = np.asarray(M, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lags = np.asarray(lags, dtype=float)
+    H = M.shape[0]
+    if lags.shape[0] < H or lags.shape[1] != M.shape[2] or K.shape != (M.shape[1], x.shape[0]):
+        raise ContractViolation("dimension mismatch in DAC action")
+    return -K @ x + np.einsum("kux,kx->u", M, lags[:H])
 
 
 def truncated_loss(cost, loop: ClosedLoop, window, lags):

@@ -157,6 +157,16 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     # an unknown preset or disturbance kind stops control-bench before any seed runs
     (["control-bench"], "preset = nope\n", "unknown system preset 'nope'"),
     (["control-bench"], "disturbance_kind = nope\n", "unknown disturbance kind 'nope'"),
+    # a repeated list value would run its cells twice and corrupt the summaries
+    (["oco-bench", "--seed", "0", "--seed", "0"], "", "seeds must not repeat a value, got 0 twice"),
+    (["oco-bench", "--alpha", "0.5,0.5"], "", "alphas must not repeat a value, got 0.5 twice"),
+    (["oco-bench", "--algorithms", "scream,scream"], "",
+     "algorithms must not repeat a value, got 'scream' twice"),
+    (["control-bench", "--seed", "0", "--seed", "0"], "",
+     "seeds must not repeat a value, got 0 twice"),
+    (["sysid-bench", "--seed", "0", "--seed", "0"], "",
+     "seeds must not repeat a value, got 0 twice"),
+    (["sysid-bench", "--budgets", "250,250"], "", "budgets must not repeat a value, got 250 twice"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):

@@ -9,12 +9,12 @@ from scream.control import (COMPARATOR_ITERS, ControlConfig, ScreamControl,
                             best_fixed_dac_per_segment, control_trajectory_rows,
                             dynamic_policy_regret_control, run_scream_control,
                             segment_boundaries)
-from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
-                        lag_table, lipschitz_constants, simulate_dac)
+from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lag_table,
+                        lipschitz_constants, simulate_dac)
 from scream.lds import DisturbanceGenerator, LinearSystem, preset
 from scream.learners import ScreamConfig, build_step_size_pool, nonuniform_prior, pool_size
-from scream.oco import ContractViolation
-from scream.verify import check_simplex
+from scream.oco import ContractViolation, path_length
+from scream.verify import check_simplex, dac_action
 
 
 def small_setup(seed=0, T=60, H=2, kind="piecewise-step"):
@@ -155,7 +155,7 @@ class TestScreamControlRound:
         assert feasible.contains(controller.flat.reshape((controller.n_experts,) + controller.shape))
         assert check_simplex(controller.weights, tol=1e-9)
         # parameters moved once learning started
-        assert run.param_switching() > 0
+        assert path_length(run.params.reshape(run.T, -1)) > 0
 
     def test_recorded_weights_are_those_of_each_decision(self, monkeypatch):
         loop, feasible, config, costs, w = small_setup(T=40, H=2)
@@ -241,7 +241,7 @@ class TestControlRegret:
     def test_constant_comparator_path_length_zero(self, rng):
         loop, feasible, config, costs, w = small_setup(T=50)
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
-        fixed = feasible.random_point(rng, scale=0.5)
+        fixed = np.broadcast_to(feasible.random_point(rng, scale=0.5), run.params.shape)
         report = dynamic_policy_regret_control(run, loop.system, fixed, feasible)
         assert report.path_length == 0.0
 
@@ -287,8 +287,9 @@ class TestControlRegret:
         run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
         bad = feasible.random_point(rng)
         bad[0] *= 10.0
-        with pytest.raises(ContractViolation):
-            dynamic_policy_regret_control(run, loop.system, bad, feasible)
+        with pytest.raises(ContractViolation, match="leave the feasible set"):
+            dynamic_policy_regret_control(run, loop.system, np.broadcast_to(bad, run.params.shape),
+                                          feasible)
 
     def test_per_segment_offline_comparator_beats_zero_policy(self):
         loop, feasible, config, costs, w = small_setup(T=120, H=2)
@@ -296,7 +297,7 @@ class TestControlRegret:
         comp = best_fixed_dac_per_segment(loop, costs, w, boundaries, feasible)
         assert feasible.contains(comp, tol=1e-8)
         replay = simulate_dac(loop.system, loop.K, comp, w, costs=costs)
-        zero = simulate_dac(loop.system, loop.K, feasible.zeros(), w, costs=costs)
+        zero = simulate_dac(loop.system, loop.K, np.zeros_like(comp), w, costs=costs)
         assert replay.costs.sum() <= zero.costs.sum() + 1e-9
         # piecewise constant within segments
         for lo, hi in boundaries:
@@ -307,7 +308,8 @@ def per_round_comparators(loop, costs, w, boundaries, feasible, iters=300):
     """Reference: each segment's quadratic assembled one round at a time, lags read off ``w``."""
     H, (d_x, d_u), K = feasible.H, (loop.system.d_x, loop.system.d_u), loop.K
     P = H * d_u * d_x
-    powers, powers_b = loop.powers(H + 1), loop.powers_times_b(H + 1)
+    powers = [np.linalg.matrix_power(loop.a_closed, j) for j in range(H + 1)]
+    powers_b = [power @ loop.system.B for power in powers]
     padded = np.concatenate([np.zeros((2 * H + 1, d_x)), w])
     out = np.empty((w.shape[0], H, d_u, d_x))
     for lo, hi in boundaries:

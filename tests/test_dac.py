@@ -3,13 +3,12 @@ import pytest
 
 import scream
 from scream import dac, verify
-from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, dac_action,
-                        lag_table, lipschitz_constants, simulate_dac,
-                        state_action_bound, tracking_grad_coeff,
-                        unary_truncated_gradient, unary_truncated_map)
+from scream.dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lag_table,
+                        lipschitz_constants, simulate_dac, state_action_bound,
+                        tracking_grad_coeff, unary_truncated_gradient, unary_truncated_map)
 from scream.lds import LinearSystem, preset, random_stable_system
 from scream.oco import ContractViolation
-from scream.verify import transfer_matrix, transfer_state, truncated_loss
+from scream.verify import dac_action, transfer_matrix, transfer_state, truncated_loss
 
 from conftest import dynamics_residual
 
@@ -87,18 +86,21 @@ class TestLagTable:
 class TestClosedLoopPowers:
     def test_slices_of_one_stack(self):
         loop = make_loop(seed=4)
-        short, long = loop.powers_times_b(3), loop.powers_times_b(7)
-        assert np.array_equal(short, long[:3])
-        assert np.array_equal(long, loop.powers(7) @ loop.system.B)
+        d_x, d_u = loop.system.d_x, loop.system.d_u
+        (short, short_b), (long, long_b) = loop.flat_powers(3), loop.flat_powers(7)
+        assert np.array_equal(short, long[:, :3 * d_x])
+        assert np.array_equal(short_b, long_b[:, :3 * d_u])
+        powers = np.ascontiguousarray(long.reshape(d_x, 7, d_x).swapaxes(0, 1))
+        assert np.array_equal(long_b.reshape(d_x, 7, d_u).swapaxes(0, 1), powers @ loop.system.B)
         for j in range(7):
-            assert np.allclose(loop.powers(7)[j], np.linalg.matrix_power(loop.a_closed, j),
+            assert np.allclose(powers[j], np.linalg.matrix_power(loop.a_closed, j),
                                rtol=1e-12, atol=1e-15)
 
     def test_stacks_are_read_only(self):
         loop = make_loop(seed=4)
-        for stack in (loop.powers(3), loop.powers_times_b(3)):
+        for table in loop.flat_powers(3):
             with pytest.raises(ValueError):
-                stack[0, 0, 0] = 1.0
+                table[0, 0] = 1.0
 
 
 class TestTransferMatrix:
@@ -243,19 +245,11 @@ class TestSimulateDac:
         assert np.max(np.abs(traj.actions - ref_actions)) <= 1e-11 * scale
         assert dynamics_residual(system, traj) <= 1e-11 * scale
 
-    def test_fixed_parameters_equal_their_repetition(self, rng):
-        loop = make_loop(seed=3)
-        M = 0.3 * rng.standard_normal((4, 2, 3))
-        w = rng.uniform(-0.5, 0.5, (120, 3))
-        fixed = simulate_dac(loop.system, loop.K, M, w)
-        repeated = simulate_dac(loop.system, loop.K, np.broadcast_to(M, (120,) + M.shape), w)
-        assert np.allclose(fixed.states, repeated.states, rtol=1e-13, atol=1e-13)
-
     def test_one_cost_value_per_round(self, rng):
         loop = make_loop(seed=5)
         T = 80
         costs = [QuadraticTrackingCost(rng.uniform(-0.3, 0.3, 3)) for _ in range(T)]
-        M = 0.3 * rng.standard_normal((3, 2, 3))
+        M = np.broadcast_to(0.3 * rng.standard_normal((3, 2, 3)), (T, 3, 2, 3))
         traj = simulate_dac(loop.system, loop.K, M, rng.uniform(-0.5, 0.5, (T, 3)), costs=costs)
         assert [c.value_calls for c in costs] == [1] * T
         assert [c.grad_calls for c in costs] == [0] * T
@@ -264,7 +258,7 @@ class TestSimulateDac:
         assert traj.costs.tolist() == expected
 
     @pytest.mark.parametrize("M_shape", [(9, 3, 2, 3), (10, 3, 1, 3), (10, 3, 2, 2),
-                                         (3, 2, 2), (2, 3), (10, 1, 3, 2, 3)])
+                                         (3, 2, 2), (2, 3), (10, 1, 3, 2, 3), (3, 2, 3)])
     def test_parameter_shapes_checked(self, M_shape):
         loop = make_loop(seed=2)
         with pytest.raises(ContractViolation):

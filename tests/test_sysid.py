@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import scream
 from scream.control import ControlConfig, run_scream_control
-from scream.dac import ClosedLoop, QuadraticTrackingCost, dac_action, lag_table, lipschitz_constants
+from scream.dac import ClosedLoop, QuadraticTrackingCost, lag_table, lipschitz_constants
 from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
 from scream.oco import ContractViolation
 from scream.sysid import (IdentificationConfig, InsufficientExcitation, explore, identify_system,
                           moments_from_exploration, run_unknown_pipeline)
+from scream.verify import dac_action
 
 from conftest import dynamics_residual
 
@@ -128,8 +135,8 @@ class TestIdentification:
             assert np.array_equal(moments.N[j], einsum)
 
     def test_single_input_moments_within_summation_rounding_of_the_einsum(self):
-        # with d_u = 1 BLAS sums the product as a matrix-vector product, in its own order;
-        # any order is within n * eps of the sum of absolute terms
+        # with d_u = 1 the product is padded with a zero column, and BLAS sums it in its own
+        # order; any order is within n * eps of the sum of absolute terms
         p = preset("scaling-3x1", seed=0)
         T0, k = 4000, 2
         trajectory, signs = explore(p.system, p.K, T0, p.disturbance.sequence(T0),
@@ -141,6 +148,23 @@ class TestIdentification:
             einsum = np.einsum("tx,tu->xu", window, signs[:n]) / n
             bound = n * np.finfo(float).eps * (np.abs(window).T @ np.abs(signs[:n])) / n
             assert np.all(np.abs(moments.N[j] - einsum) <= bound)
+
+    def test_single_input_moments_do_not_depend_on_the_blas_thread_count(self):
+        # unpadded, the single-input product changes bits between 1 and 2 threads at this T0;
+        # each child sets the thread count before numpy loads BLAS
+        code = ("import sys; from scream.lds import preset; "
+                "from scream.sysid import IdentificationConfig, identify_system; "
+                "p = preset('scaling-3x1', seed=0); T0 = 200000; "
+                "_, moments = identify_system(p.system, p.K, IdentificationConfig(T0, 2), "
+                "p.disturbance.sequence(T0)); sys.stdout.buffer.write(moments.N.tobytes())")
+        path = os.pathsep.join(filter(None, [str(Path(scream.__file__).resolve().parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                                  timeout=120, env=dict(os.environ, PYTHONPATH=path,
+                                                        OPENBLAS_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")]
+        assert len(outputs[0]) == 3 * 3 * 1 * 8
+        assert outputs[0] == outputs[1]
 
 
 class TestExplore:
