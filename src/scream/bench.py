@@ -194,23 +194,6 @@ class ResultRow:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
-def check_movement_bounds(learner, grad_bound: float, T: int) -> None:
-    """Per-run movement guarantees: meta l1 steps and cumulative gradient-descent movement."""
-    slack = getattr(learner, "meta_movement_slack", None)
-    if slack is not None and slack > 1e-9:
-        raise AssertionError(f"meta movement bound violated by {slack:.3g}")
-    switching = getattr(learner, "switching", None)
-    if switching is not None:
-        cap = learner.step_size * grad_bound * T
-        if switching > cap + 1e-9:
-            raise AssertionError(f"gradient-descent switching {switching:.6g} exceeds eta*G*T = {cap:.6g}")
-    per_expert = getattr(learner, "expert_switching", None)
-    if per_expert is not None:
-        caps = learner.etas * grad_bound * T
-        if np.any(per_expert > caps + 1e-9):
-            raise AssertionError("an expert's switching cost exceeds its eta_i*G*T cap")
-
-
 def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
     """One experiment cell; returns (ResultRow, per-round rows or None)."""
     stream = gen_piecewise_regression(config, seed)
@@ -220,7 +203,7 @@ def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
     run = learners.run_online(oco_learner(config, algorithm, lam), losses)
     report = run.report(stream.truths, lam)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    check_movement_bounds(run.learner, config.grad_bound, config.T)
+    run.learner.check_movement_bounds(config.grad_bound)
     row = ResultRow.from_report(config.scenario, algorithm, seed, alpha, report, wall_ms)
     per_round = trajectory_rows(run) if config.per_round else None
     return row, per_round
@@ -405,7 +388,7 @@ def run_control_cell(scenario: ControlScenario, seed: int) -> tuple[ResultRow, d
     start = time.perf_counter()
     run = run_scream_control(loop, loop.system, disturbances, costs, config, feasible=feasible)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    check_movement_bounds(run.controller, config.constants.grad_bound, run.controller.rounds)
+    run.controller.check_movement_bounds(config.constants.grad_bound)
     comparators = best_fixed_dac_per_segment(loop, costs, disturbances, scenario.segments(), feasible)
     report = dynamic_policy_regret_control(run, loop.system, comparators, feasible)
     if scenario.per_round:

@@ -86,12 +86,10 @@ class ScreamControl(MetaExpertLearner):
         self.loop = loop
         self.feasible = feasible
         self.config = config
-        self._caps_tol = feasible.caps + 1e-7
 
     def _project(self, experts: np.ndarray) -> np.ndarray:
         projected = self.feasible.project(experts)
-        # feasible.contains(projected, tol=1e-7), with the caps plus tolerance added once
-        if not (self.feasible.spectral_norms(projected) <= self._caps_tol).all():
+        if not self.feasible.contains(projected, tol=1e-7):
             raise AssertionError(
                 "internal invariant failure: expert left the feasible set after projection")
         return projected

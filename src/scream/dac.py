@@ -150,7 +150,7 @@ class DacFeasibleSet:
 
     def contains(self, M, tol: float = 1e-9) -> bool:
         """Every block's spectral norm within its cap plus ``tol``; False for a non-finite block."""
-        return bool(np.all(self.spectral_norms(M) <= self.caps + tol))
+        return bool((self.spectral_norms(M) <= self.caps + tol).all())
 
     def project(self, M) -> np.ndarray:
         """Frobenius projection: clip each block's singular values at its cap.
@@ -242,7 +242,12 @@ def _lag_index(H: int) -> np.ndarray:
 
 
 def _lag_table(lags: np.ndarray, H: int) -> np.ndarray:
-    """Table[..., j, k, :] = lags[..., 1 + j + k, :] for j = 0..H, k = 0..H-1 (2H + 1 lags)."""
+    """Table[..., j, k, :] = lags[..., 1 + j + k, :] for j = 0..H, k = 0..H-1.
+
+    The one check that ``lags`` holds 2H + 1 rounds: fewer raise :class:`ContractViolation`.
+    """
+    if lags.shape[-2] < 2 * H + 1:
+        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
     return lags[..., _lag_index(H), :]
 
 
@@ -255,14 +260,13 @@ def unary_truncated_map(loop: ClosedLoop, lags, H: int):
     y = y0 + L m and the truncated action is v = -K y + D m.
     """
     lags = np.asarray(lags, dtype=float)
-    if lags.shape[-2] < 2 * H + 1:
-        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
+    table = _lag_table(lags, H)
     batch, d_x, d_u = lags.shape[:-2], loop.system.d_x, loop.system.d_u
     P = H * d_u * d_x
     powers, powers_b = (np.ascontiguousarray(flat.reshape(d_x, H + 1, -1).swapaxes(0, 1))
                         for flat in loop.flat_powers(H + 1))
     y0 = np.einsum("jxz,...jz->...x", powers, lags[..., : H + 1, :])
-    L = np.einsum("jxu,...jkz->...xkuz", powers_b, _lag_table(lags, H))
+    L = np.einsum("jxu,...jkz->...xkuz", powers_b, table)
     D = np.einsum("vu,...kz->...vkuz", np.eye(d_u), lags[..., :H, :])
     return y0, L.reshape(batch + (d_x, P)), D.reshape(batch + (d_u, P))
 
@@ -281,10 +285,8 @@ def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     lags = np.asarray(lags, dtype=float)
     H = M.shape[0]
-    if lags.shape[-2] < 2 * H + 1:
-        raise ContractViolation(f"need 2H + 1 = {2 * H + 1} lagged disturbances")
-    powers, powers_b = loop.flat_powers(H + 1)
     table = _lag_table(lags, H)
+    powers, powers_b = loop.flat_powers(H + 1)
     y = powers @ lags[: H + 1].ravel() + powers_b @ np.einsum("kuz,jkz->ju", M, table).ravel()
     v = np.einsum("kuz,kz->u", M, lags[:H]) - loop.K @ y
     g_y = np.asarray(cost.grad_x(y, v), dtype=float)

@@ -32,12 +32,17 @@ def build_step_size_pool(T: int, diameter: float, grad_bound: float, lam: float)
 
     N is :func:`pool_size` of T; neighbouring step sizes have ratio exactly 2.
     """
-    if T < 1:
-        raise ContractViolation("horizon must be at least 1")
+    n = pool_size(T)  # raises on a horizon below 1
     if not (diameter > 0 and grad_bound > 0 and lam >= 0):  # NaN fails too
         raise ContractViolation("need D > 0, G > 0 and lam >= 0")
     base = math.sqrt(diameter ** 2 / ((lam * grad_bound + grad_bound ** 2) * T))
-    return base * 2.0 ** np.arange(pool_size(T))
+    return base * 2.0 ** np.arange(n)
+
+
+def check_simplex(p, tol: float = 1e-12) -> bool:
+    """Non-negative entries summing to one within ``tol``; a NaN or an infinity fails."""
+    p = np.asarray(p, dtype=float)
+    return bool(np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= tol)
 
 
 def nonuniform_prior(n: int) -> np.ndarray:
@@ -150,7 +155,7 @@ class MetaExpertLearner:
         prior = np.asarray(prior, dtype=float)
         if prior.shape != etas.shape:
             raise ContractViolation("prior length must match the pool size")
-        if not (np.isfinite(prior).all() and (prior >= 0).all() and abs(prior.sum() - 1.0) <= 1e-12):
+        if not check_simplex(prior):
             raise ContractViolation("prior must be finite, non-negative and sum to one within 1e-12")
         self.etas = etas
         self.shape = tuple(shape)
@@ -163,7 +168,7 @@ class MetaExpertLearner:
         self.meta_rate = float(meta_rate)
         self.surrogate_lam = float(surrogate_lam)
         self.rounds = 0
-        # diagnostics for the movement-bound checks
+        # read by check_movement_bounds
         self.meta_movement_slack = -math.inf
         self.expert_switching = np.zeros(len(etas))
 
@@ -201,6 +206,15 @@ class MetaExpertLearner:
         self.expert_switching += self.movement
         self.flat = stepped
         self.rounds += 1
+
+    def check_movement_bounds(self, grad_bound: float) -> None:
+        """Raise :class:`AssertionError` if a Hedge step moved the weights more than
+        ``meta_rate * max |loss|`` in l1, or expert i moved more than ``eta_i * G * rounds``.
+        """
+        if self.meta_movement_slack > 1e-9:
+            raise AssertionError(f"meta movement bound violated by {self.meta_movement_slack:.3g}")
+        if np.any(self.expert_switching > self.etas * grad_bound * self.rounds + 1e-9):
+            raise AssertionError("an expert's switching cost exceeds its eta_i*G*T cap")
 
     def observe(self, loss: SquareLoss) -> None:
         decision = self._decision
@@ -253,6 +267,13 @@ class OgdMemory:
         self.switching += math.sqrt(float(moved.dot(moved)))  # np.linalg.norm's arithmetic
         self.point = new_point
         self.rounds += 1
+
+    def check_movement_bounds(self, grad_bound: float) -> None:
+        """Raise :class:`AssertionError` if the movement exceeds ``step_size * G * rounds``."""
+        cap = self.step_size * grad_bound * self.rounds
+        if self.switching > cap + 1e-9:
+            raise AssertionError(
+                f"gradient-descent switching {self.switching:.6g} exceeds eta*G*T = {cap:.6g}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lag_table, simulate_dac,
                   state_action_bound, tracking_grad_coeff, unary_truncated_gradient)
 from .lds import DisturbanceGenerator, clip_to_ball, preset, random_stable_system
-from .learners import Scream, ScreamConfig, hedge_step, nonuniform_prior, run_online
+from .learners import Scream, ScreamConfig, check_simplex, hedge_step, nonuniform_prior, run_online
 from .oco import ContractViolation, DomainBall, SquareLossStream
 
 
@@ -88,12 +88,6 @@ def truncated_loss(cost, loop: ClosedLoop, window, lags):
     y = transfer_state(loop, window[:-1], lags)
     v = dac_action(loop.K, window[-1], y, lags)
     return float(cost.value(y, v)), y, v
-
-
-def check_simplex(p, tol: float = 1e-12) -> bool:
-    """Non-negative entries summing to one within ``tol``."""
-    p = np.asarray(p, dtype=float)
-    return bool(np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= tol)
 
 
 def check_simplex_preservation(rng, cases: int = 1000):

@@ -91,7 +91,7 @@ def test_criterion_5_movement_bounds(benchmark_result):
         stream = bench.gen_piecewise_regression(config, 0)
         for algorithm in bench.ALGORITHMS:
             run = run_online(bench.oco_learner(config, algorithm, lam), stream.losses())
-            bench.check_movement_bounds(run.learner, config.grad_bound, config.T)
+            run.learner.check_movement_bounds(config.grad_bound)
     print("\nPASS criterion 5: movement bounds held on every benchmark run")
 
 

@@ -146,6 +146,28 @@ class TestRunBenchmark:
         row, _ = run_cell(config, "scream", 0.5, seed=0)
         assert row is not None
 
+    def test_gradient_descent_switching_violation_recorded_in_failures_txt(self, tmp_path,
+                                                                           monkeypatch):
+        from scream import learners
+        original = learners.run_online
+        caps = []
+
+        def switching_on_first_ogd_cell(learner, losses):
+            run = original(learner, losses)
+            if isinstance(learner, learners.OgdMemory) and not caps:
+                caps.append(learner.step_size * config.grad_bound * learner.rounds)
+                learner.switching = 2.0 * caps[0]
+            return run
+
+        monkeypatch.setattr(learners, "run_online", switching_on_first_ogd_cell)
+        config = tiny_config(tmp_path, T=60)
+        result = run_benchmark(config, parallel=False)
+        assert [(r.algorithm, r.seed) for r in result.rows] == [
+            ("ader", 0), ("ader", 1), ("ogd", 1), ("scream", 0), ("scream", 1)]
+        lines = (result.outdir / "failures.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == [f"('ogd', 0.5, 0): AssertionError: gradient-descent switching "
+                         f"{2.0 * caps[0]:.6g} exceeds eta*G*T = {caps[0]:.6g}"]
+
 
 class TestEmitCsv:
     def test_header_only_for_empty_rows(self, tmp_path):
@@ -223,7 +245,6 @@ class TestControlBenchmark:
         assert lines[0].startswith("('tracking-3x2', 0): ContractViolation")
 
     def test_controller_within_movement_bounds(self):
-        from scream.bench import check_movement_bounds
         from scream.control import run_scream_control
         scenario = ControlScenario(T=120, H=2, segment_length=40, seeds=(0,))
         loop, feasible, config, costs, w = gen_control_scenario(scenario, 0)
@@ -231,7 +252,7 @@ class TestControlBenchmark:
         controller = run.controller
         assert controller.rounds == 120 - 2  # warm-up rounds make no step
         assert np.all(controller.expert_switching > 0)
-        check_movement_bounds(controller, config.constants.grad_bound, controller.rounds)
+        controller.check_movement_bounds(config.constants.grad_bound)
 
     def test_movement_bound_violation_recorded_in_failures_txt(self, tmp_path, monkeypatch):
         import scream.bench as bench_mod
@@ -253,6 +274,29 @@ class TestControlBenchmark:
         lines = (tmp_path / "ctrl" / "failures.txt").read_text(encoding="utf-8").splitlines()
         assert lines == [
             "('tracking-3x2', 0): AssertionError: meta movement bound violated by 0.001"]
+
+    def test_expert_switching_violation_recorded_in_failures_txt(self, tmp_path, monkeypatch):
+        import scream.bench as bench_mod
+        original = bench_mod.run_scream_control
+        calls = []
+
+        def switching_on_first_seed(*args, **kwargs):
+            run = original(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 1:
+                controller, grad_bound = run.controller, args[4].constants.grad_bound
+                controller.expert_switching[-1] = (
+                    controller.etas[-1] * grad_bound * controller.rounds + 1e-6)
+            return run
+
+        monkeypatch.setattr(bench_mod, "run_scream_control", switching_on_first_seed)
+        scenario = ControlScenario(T=60, H=2, segment_length=20, seeds=(0, 1),
+                                   outdir=str(tmp_path / "ctrl"))
+        result = bench_mod.run_control_benchmark(scenario)
+        assert [row.seed for row in result.rows] == [1]
+        lines = (tmp_path / "ctrl" / "failures.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == ["('tracking-3x2', 0): AssertionError: "
+                         "an expert's switching cost exceeds its eta_i*G*T cap"]
 
     def test_scenario_generation_reproducible(self, tmp_path):
         scenario = ControlScenario(T=80, H=2, segment_length=20, seeds=(0,))

@@ -371,7 +371,7 @@ class TestUnaryTruncatedMap:
 
     def test_too_few_lags_rejected(self, rng):
         loop = make_loop(seed=21)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=r"need 2H \+ 1 = 7 lagged disturbances"):
             unary_truncated_map(loop, np.zeros((4, 6, 3)), 3)
 
     @pytest.mark.parametrize("d_u, H", [(2, 3), (1, 4), (2, 1), (2, 5)])
@@ -392,7 +392,7 @@ class TestUnaryTruncatedMap:
             got = unary_truncated_gradient(cost, loop, M, lags)
             assert got.shape == M.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=rf"need 2H \+ 1 = {2 * H + 1} lagged"):
             unary_truncated_gradient(cost, loop, M, lags[: 2 * H])
 
 

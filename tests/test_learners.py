@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from scream import verify
 from scream.learners import (Ader, MetaExpertLearner, OgdMemory, Scream, ScreamConfig,
-                             ader_meta_rate, build_step_size_pool, nonuniform_prior,
-                             ogd_default_step_size, pool_size, run_online, scream_meta_rate,
-                             surrogate_losses, trajectory_rows)
+                             ader_meta_rate, build_step_size_pool, check_simplex,
+                             nonuniform_prior, ogd_default_step_size, pool_size, run_online,
+                             scream_meta_rate, surrogate_losses, trajectory_rows)
 from scream.oco import ContractViolation, DomainBall, SquareLoss, SquareLossStream
-from scream.verify import check_simplex
 
 
 class TestStepSizePool:
@@ -35,7 +35,7 @@ class TestStepSizePool:
             assert pool[-1] / pool[0] == 2.0 ** (len(pool) - 1)
 
     def test_zero_horizon_rejected(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="horizon must be at least 1"):
             build_step_size_pool(0, 1.0, 1.0, 0.0)
 
 
@@ -284,6 +284,24 @@ class TestMetaExpertEngine:
         with pytest.raises(ContractViolation):
             MetaExpertLearner(etas, prior, 0.3, 0.5, (2,), ball.project_rows)
 
+    def test_prior_check_is_the_shared_simplex_check(self):
+        assert verify.check_simplex is check_simplex
+        for prior in ([1.0, 0.0], [0.5, 0.5 + 1e-13]):
+            assert check_simplex(prior)
+        for prior in ([np.nan, 1.0], [np.inf, 0.0], [1.5, -0.5], [0.5, 0.5 + 1e-11]):
+            assert not check_simplex(prior)
+
+    def test_movement_caps_come_from_the_learners_own_rounds(self, rng):
+        G, T = 2.0, 40
+        xs = rng.uniform(-1, 1, (T, 2))
+        learner = Scream(ScreamConfig(T, G, 2.0, 0.5), DomainBall(2, 2.0))
+        run_online(learner, SquareLossStream(xs, rng.uniform(-1, 1, T)))
+        assert learner.rounds == T
+        learner.check_movement_bounds(G)
+        learner.expert_switching[0] = learner.etas[0] * G * T + 1e-8
+        with pytest.raises(AssertionError, match="exceeds its eta_i\\*G\\*T cap"):
+            learner.check_movement_bounds(G)
+
 
 class TestScreamConfig:
     @pytest.mark.parametrize("T, grad_bound, diameter, lam", [
@@ -355,6 +373,10 @@ class TestOgdMemory:
         eta = ogd_default_step_size(T, 2.0, G)
         run = run_online(OgdMemory(eta, DomainBall(d, 2.0)), SquareLossStream(xs, ys))
         assert run.learner.switching <= eta * G * T + 1e-9
+        run.learner.check_movement_bounds(G)  # the cap from the learner's own rounds
+        run.learner.switching = eta * G * T + 1e-8
+        with pytest.raises(AssertionError, match="gradient-descent switching .* exceeds eta"):
+            run.learner.check_movement_bounds(G)
 
     def test_zero_gradient_stream_constant(self):
         losses = SquareLossStream(np.zeros((10, 2)), np.zeros(10))
