@@ -205,7 +205,7 @@ def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparat
     controller's own, priced at its configured ``lam``.
     """
     comp = np.asarray(comparator_params, dtype=float)
-    if comp.shape[0] != run.T:
+    if comp.ndim != 4 or comp.shape[0] != run.T:  # one (H, d_u, d_x) set per round
         raise ContractViolation("need one comparator policy per round")
     if run.disturbances.shape[0] != run.T:
         raise ContractViolation("run carries no complete disturbance record")

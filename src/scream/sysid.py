@@ -51,30 +51,27 @@ class MomentEstimates:
 
 @dataclass
 class IdentifiedSystem:
-    """Recovered dynamics; A_hat = A_K_hat + B_hat K holds by construction."""
+    """Recovered dynamics and the exploration phase they were read from."""
 
     A_hat: np.ndarray
     B_hat: np.ndarray
-    A_K_hat: np.ndarray
-    K: np.ndarray
-    config: IdentificationConfig
     exploration: Trajectory
 
     def as_system(self) -> LinearSystem:
         return LinearSystem(self.A_hat, self.B_hat)
 
 
-def explore(plant: LinearSystem, K, T0: int, disturbances, rng, costs=None):
-    """Drive the plant with u = -K x + z, z ~ {+-1}^(d_u); returns (trajectory, sign inputs)."""
+def explore(plant: LinearSystem, K, T0: int, disturbances, rng):
+    """Drive the plant with u = -K x + z, z ~ {+-1}^(d_u); returns (trajectory, sign inputs).
+
+    The trajectory's costs are zero: exploration prices no round itself.
+    """
     w = np.asarray(disturbances, dtype=float)
     if w.shape[0] < T0:
         raise ContractViolation("not enough disturbances for the exploration budget")
     signs = rng.choice([-1.0, 1.0], size=(T0, plant.d_u))
     states, actions = closed_loop_rollout(plant, K, signs, w[:T0])
-    values = np.zeros(T0)
-    if costs is not None:
-        values[:] = [costs[t].value(states[t], actions[t]) for t in range(T0)]
-    return Trajectory(states, actions, w[:T0], values), signs
+    return Trajectory(states, actions, w[:T0], np.zeros(T0)), signs
 
 
 def moments_from_exploration(states: np.ndarray, signs: np.ndarray, k: int) -> MomentEstimates:
@@ -125,15 +122,13 @@ def recover_from_moments(moments: MomentEstimates, K) -> tuple[np.ndarray, np.nd
 
 
 def identify_system(plant: LinearSystem, K, config: IdentificationConfig, disturbances,
-                    seed: int = 0, costs=None) -> tuple[IdentifiedSystem, MomentEstimates]:
+                    seed: int = 0) -> tuple[IdentifiedSystem, MomentEstimates]:
     """Run the exploration phase and recover the dynamics."""
     rng = np.random.default_rng(seed)
-    trajectory, signs = explore(plant, K, config.T0, disturbances, rng, costs=costs)
+    trajectory, signs = explore(plant, K, config.T0, disturbances, rng)
     moments = moments_from_exploration(trajectory.states, signs, config.k)
-    A_hat, B_hat, A_K_hat = recover_from_moments(moments, K)
-    ident = IdentifiedSystem(A_hat, B_hat, A_K_hat, np.asarray(K, dtype=float), config,
-                             trajectory)
-    return ident, moments
+    A_hat, B_hat, _ = recover_from_moments(moments, K)
+    return IdentifiedSystem(A_hat, B_hat, trajectory), moments
 
 
 @dataclass
@@ -141,8 +136,7 @@ class PipelineRun:
     """Explore-then-commit record: exploration phase plus the committed control phase."""
 
     identified: IdentifiedSystem
-    moments: MomentEstimates
-    exploration_cost: float
+    exploration_cost: float          # true cost of the exploration rounds
     control_run: ControlRun
 
 
@@ -162,8 +156,10 @@ def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig
     T = disturbances.shape[0]
     if not T0 < T:
         raise ContractViolation("exploration budget must be smaller than the horizon")
-    identified, moments = identify_system(plant, K, id_config, disturbances[:T0],
-                                          seed=seed, costs=costs[:T0])
+    identified, _ = identify_system(plant, K, id_config, disturbances[:T0], seed=seed)
+    explored = identified.exploration
+    exploration_cost = float(np.sum([costs[t].value(explored.states[t], explored.actions[t])
+                                     for t in range(T0)]))
     believed_system = inject_system if inject_system is not None else identified.as_system()
     certificate = certify_strong_stability(believed_system, K)
     if not certificate.accepted:
@@ -171,6 +167,5 @@ def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig
             f"controller is not strongly stable on the estimated system: {certificate.reason}")
     believed = ClosedLoop(believed_system, K, certificate)
     phase2 = run_scream_control(believed, plant, disturbances[T0:], costs[T0:],
-                                control_config, x0=identified.exploration.states[-1])
-    return PipelineRun(identified, moments,
-                       float(np.sum(identified.exploration.costs)), phase2)
+                                control_config, x0=explored.states[-1])
+    return PipelineRun(identified, exploration_cost, phase2)

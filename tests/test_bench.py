@@ -376,10 +376,10 @@ class TestSysidBenchmark:
         import scream.bench as bench_mod
         original = bench_mod.identify_system
 
-        def flaky(plant, K, config, disturbances, seed=0, costs=None):
+        def flaky(plant, K, config, disturbances, seed=0):
             if seed == 1:
                 raise RuntimeError("synthetic trial failure")
-            return original(plant, K, config, disturbances, seed=seed, costs=costs)
+            return original(plant, K, config, disturbances, seed=seed)
 
         monkeypatch.setattr(bench_mod, "identify_system", flaky)
         scenario = SysidScenario(budgets=(200, 800), seeds=(0, 1, 2),
@@ -397,10 +397,10 @@ class TestSysidBenchmark:
         import scream.bench as bench_mod
         original = bench_mod.identify_system
 
-        def flaky(plant, K, config, disturbances, seed=0, costs=None):
+        def flaky(plant, K, config, disturbances, seed=0):
             if config.T0 == 400:
                 raise RuntimeError("synthetic trial failure")
-            return original(plant, K, config, disturbances, seed=seed, costs=costs)
+            return original(plant, K, config, disturbances, seed=seed)
 
         monkeypatch.setattr(bench_mod, "identify_system", flaky)
         scenario = SysidScenario(budgets=(200, 400, 800), seeds=(0, 1),

@@ -250,10 +250,10 @@ def test_sysid_bench_exit_two_on_failed_trial(tmp_path, capsys, monkeypatch):
     import scream.bench as bench_mod
     original = bench_mod.identify_system
 
-    def flaky(plant, K, config, disturbances, seed=0, costs=None):
+    def flaky(plant, K, config, disturbances, seed=0):
         if seed == 1 and config.T0 == 800:
             raise RuntimeError("synthetic trial failure")
-        return original(plant, K, config, disturbances, seed=seed, costs=costs)
+        return original(plant, K, config, disturbances, seed=seed)
 
     monkeypatch.setattr(bench_mod, "identify_system", flaky)
     out = tmp_path / "sysid"

@@ -291,6 +291,18 @@ class TestControlRegret:
             dynamic_policy_regret_control(run, loop.system, np.broadcast_to(bad, run.params.shape),
                                           feasible)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((), "one comparator policy per round"),              # a 0-d value
+        ((30, 2, 3), "one comparator policy per round"),      # a 3-d value
+        ((29, 2, 2, 3), "one comparator policy per round"),   # one round short
+        ((30, 2, 3, 2), "expected trailing shape"),           # blocks of the wrong shape
+    ])
+    def test_comparator_of_wrong_shape_rejected(self, shape, message):
+        loop, feasible, config, costs, w = small_setup(T=30, H=2)
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        with pytest.raises(ContractViolation, match=message):
+            dynamic_policy_regret_control(run, loop.system, np.zeros(shape), feasible)
+
     def test_per_segment_offline_comparator_beats_zero_policy(self):
         loop, feasible, config, costs, w = small_setup(T=120, H=2)
         boundaries = segment_boundaries(120, 40)

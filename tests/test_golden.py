@@ -24,12 +24,21 @@ The verify output is compared line by line, exactly.
 The control metadata holds the controller's tuning (step-size pool, meta rate,
 number of experts, movement weight and the structural constants), which no
 CSV column prints.
+
+The CLI runs of ``oco_t300_seg1``, ``control_t400`` and ``sysid_small`` are
+also repeated in child processes under one and two OpenBLAS threads: both
+must write the same bytes, apart from ``wall_time_ms``, and match the goldens.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import scream
 
 from scream.bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
                           run_control_benchmark, run_sysid_benchmark, scaling_scenario)
@@ -110,3 +119,41 @@ def test_verify_output_matches_golden(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     expected = (GOLDEN / "verify_seed0.txt").read_text(encoding="utf-8").splitlines()
     assert capsys.readouterr().out.splitlines() == expected
+
+
+# (golden, CLI arguments, config file text or None, CSV files, JSON files)
+CLI_GOLDEN_RUNS = (
+    ("oco_t300_seg1", ["oco-bench", "--T", "300", "--seed", "0", "--seed", "1", "--serial"],
+     "segment_length = 1\n", ("results.csv", "summary.csv"), ()),
+    ("control_t400", ["control-bench", "--T", "400", "--seed", "0", "--seed", "1"], None,
+     ("control_results.csv", "control_summary.csv"), ("control_metadata.json",)),
+    ("sysid_small", ["sysid-bench", "--budgets", "250,1000", "--seed", "0", "--seed", "1",
+                     "--seed", "2"], None, (), ("sysid_report.json",)),
+)
+
+
+def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each child sets the thread count in its own environment, before numpy loads BLAS
+    path = os.pathsep.join(filter(None, [str(Path(scream.__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    for name, args, config_text, csvs, jsons in CLI_GOLDEN_RUNS:
+        if config_text is not None:
+            (tmp_path / f"{name}.cfg").write_text(config_text, encoding="utf-8")
+            args = args + ["--config", str(tmp_path / f"{name}.cfg")]
+        children = {threads: subprocess.Popen(
+            [sys.executable, "-m", "scream.cli", *args, "--out", str(tmp_path / name / threads)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+            for threads in ("1", "2")}
+        for threads, child in children.items():
+            _, err = child.communicate(timeout=120)
+            assert child.returncode == 0, f"{name}, {threads} thread(s): {err.decode()}"
+        one, two = tmp_path / name / "1", tmp_path / name / "2"
+        for filename in csvs:
+            assert _rows(one / filename) == _rows(two / filename), f"{name}/{filename}"
+        for filename in jsons:
+            assert (one / filename).read_bytes() == (two / filename).read_bytes(), filename
+        for outdir in (one, two):
+            _assert_matches_golden(outdir, name, csvs)
+            for filename in jsons:
+                _assert_json_matches_golden(outdir, name, filename)

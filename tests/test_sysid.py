@@ -12,7 +12,7 @@ from scream.dac import ClosedLoop, QuadraticTrackingCost, lag_table, lipschitz_c
 from scream.lds import DisturbanceGenerator, LinearSystem, certify_strong_stability, preset
 from scream.oco import ContractViolation
 from scream.sysid import (IdentificationConfig, InsufficientExcitation, explore, identify_system,
-                          moments_from_exploration, run_unknown_pipeline)
+                          moments_from_exploration, recover_from_moments, run_unknown_pipeline)
 from scream.verify import dac_action
 
 from conftest import dynamics_residual
@@ -55,9 +55,11 @@ class TestIdentification:
         p = preset("sysid-3x2", seed=0)
         K = rng.standard_normal((2, 3)) * 0.05
         gen = DisturbanceGenerator("gaussian-clipped", 3, amplitude=0.1, seed=9)
-        ident, _ = identify_system(p.system, K, IdentificationConfig(2000, 2),
-                                   gen.sequence(2000), seed=3)
-        assert np.max(np.abs(ident.A_hat - (ident.A_K_hat + ident.B_hat @ ident.K))) <= 1e-12
+        ident, moments = identify_system(p.system, K, IdentificationConfig(2000, 2),
+                                         gen.sequence(2000), seed=3)
+        A_hat, B_hat, A_K_hat = recover_from_moments(moments, K)
+        assert np.array_equal(A_hat, ident.A_hat) and np.array_equal(B_hat, ident.B_hat)
+        assert np.max(np.abs(A_hat - (A_K_hat + B_hat @ K))) <= 1e-12
 
     def test_error_decreases_with_budget(self):
         p = preset("sysid-3x2", seed=0)
@@ -189,18 +191,6 @@ class TestExplore:
         assert dynamics_residual(plant, traj) <= 1e-11 * scale
         assert np.array_equal(traj.disturbances, w[:4000])
 
-    def test_one_cost_value_per_round(self):
-        p = preset("sysid-3x2", seed=0)
-        rng = np.random.default_rng(4)
-        costs = [QuadraticTrackingCost(rng.uniform(-0.3, 0.3, 3)) for _ in range(300)]
-        traj, _ = explore(p.system, p.K, 300, p.disturbance.sequence(300),
-                          np.random.default_rng(1), costs=costs)
-        assert [c.value_calls for c in costs] == [1] * 300
-        assert [c.grad_calls for c in costs] == [0] * 300
-        expected = [QuadraticTrackingCost(c.target).value(x, u)
-                    for c, x, u in zip(costs, traj.states, traj.actions)]
-        assert traj.costs.tolist() == expected
-
     def test_diverging_closed_loop_gives_non_finite_moments(self):
         # spectral radius 1.3: the states overflow, and the moment check rejects them
         plant = LinearSystem(np.array([[0.9, 0.5], [0.0, 1.3]]), np.array([[1.0], [0.5]]))
@@ -247,10 +237,24 @@ class TestPipeline:
         p, loop_truth, config, costs, w = pipeline_pieces(seed=2)
         pipe = run_unknown_pipeline(p.system, p.K, IdentificationConfig(60, 2), config,
                                     costs, w, seed=8)
-        # independent re-summation of the exploration phase
-        explore_total = float(np.sum(pipe.identified.exploration.costs))
+        # independent re-pricing of the exploration phase
+        explored = pipe.identified.exploration
+        explore_total = sum(QuadraticTrackingCost(c.target).value(x, u)
+                            for c, x, u in zip(costs, explored.states, explored.actions))
         assert pipe.exploration_cost == pytest.approx(explore_total, rel=1e-12)
         assert pipe.control_run.T == 260 - 60
+
+    def test_exploration_cost_prices_each_round_once(self):
+        p, loop_truth, config, costs, w = pipeline_pieces(seed=1)
+        T0 = 60
+        pipe = run_unknown_pipeline(p.system, p.K, IdentificationConfig(T0, 2), config,
+                                    costs, w, seed=5)
+        assert [c.value_calls for c in costs[:T0]] == [1] * T0
+        assert [c.grad_calls for c in costs[:T0]] == [0] * T0
+        explored = pipe.identified.exploration
+        expected = [QuadraticTrackingCost(c.target).value(x, u)
+                    for c, x, u in zip(costs, explored.states, explored.actions)]
+        assert pipe.exploration_cost == float(np.sum(expected))
 
     def test_estimated_run_recovers_fictitious_disturbances(self):
         p, loop_truth, config, costs, w = pipeline_pieces(seed=3)
