@@ -155,7 +155,7 @@ class TestRunBenchmark:
         def switching_on_first_ogd_cell(learner, losses):
             run = original(learner, losses)
             if isinstance(learner, learners.OgdMemory) and not caps:
-                caps.append(learner.step_size * config.grad_bound * learner.rounds)
+                caps.append(learner.step_size * config.grad_bound * config.T)
                 learner.switching = 2.0 * caps[0]
             return run
 
