@@ -260,13 +260,13 @@ def unary_truncated_map(loop: ClosedLoop, lags, H: int):
     y = y0 + L m and the truncated action is v = -K y + D m.
     """
     lags = np.asarray(lags, dtype=float)
-    table = _lag_table(lags, H)
-    batch, d_x, d_u = lags.shape[:-2], loop.system.d_x, loop.system.d_u
-    P = H * d_u * d_x
+    d_x, d_u = loop.system.d_x, loop.system.d_u
     powers, powers_b = (np.ascontiguousarray(flat.reshape(d_x, H + 1, -1).swapaxes(0, 1))
                         for flat in loop.flat_powers(H + 1))
+    # the lag table checks the lag count first, and is freed before y0 and D are built
+    L = np.einsum("jxu,...jkz->...xkuz", powers_b, _lag_table(lags, H))
+    batch, P = lags.shape[:-2], H * d_u * d_x
     y0 = np.einsum("jxz,...jz->...x", powers, lags[..., : H + 1, :])
-    L = np.einsum("jxu,...jkz->...xkuz", powers_b, table)
     D = np.einsum("vu,...kz->...vkuz", np.eye(d_u), lags[..., :H, :])
     return y0, L.reshape(batch + (d_x, P)), D.reshape(batch + (d_u, P))
 
