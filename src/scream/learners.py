@@ -208,8 +208,10 @@ class MetaExpertLearner:
         self.rounds += 1
 
     def check_movement_bounds(self, grad_bound: float) -> None:
-        """Raise :class:`AssertionError` if a Hedge step moved the weights more than
-        ``meta_rate * max |loss|`` in l1, or expert i moved more than ``eta_i * G * rounds``.
+        """Raise :class:`AssertionError` if a movement bound of the regret decomposition broke.
+
+        A Hedge step moves the weights at most ``meta_rate * max |loss|`` in l1,
+        and expert i moves at most ``eta_i * G * rounds`` in all.
         """
         if self.meta_movement_slack > 1e-9:
             raise AssertionError(f"meta movement bound violated by {self.meta_movement_slack:.3g}")
