@@ -194,8 +194,8 @@ class ResultRow:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
 
 
-def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
-    """One experiment cell; returns (ResultRow, per-round rows or None)."""
+def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int) -> ResultRow:
+    """One experiment cell; with ``per_round`` it also writes the cell's per-round CSV."""
     stream = gen_piecewise_regression(config, seed)
     losses = stream.losses()
     lam = alpha * config.grad_bound
@@ -204,18 +204,26 @@ def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int):
     report = run.report(stream.truths, lam)
     wall_ms = (time.perf_counter() - start) * 1000.0
     run.learner.check_movement_bounds(config.grad_bound)
-    row = ResultRow.from_report(config.scenario, algorithm, seed, alpha, report, wall_ms)
-    per_round = trajectory_rows(run) if config.per_round else None
-    return row, per_round
+    if config.per_round:
+        rows = trajectory_rows(run)
+        emit_csv(rows, list(rows[0].keys()), Path(config.outdir)
+                 / f"rounds_{config.scenario}_{algorithm}_a{alpha:g}_s{seed}.csv")
+    return ResultRow.from_report(config.scenario, algorithm, seed, alpha, report, wall_ms)
 
 
-def _cell_task(args):
-    config, algorithm, alpha, seed = args
+def _attempt(cell, *args, **kwargs):
+    """``(cell(*args, **kwargs), None)``, or ``(None, "Type: message")`` if the cell raises.
+
+    Every sweep records a failed cell through this one call and goes on.
+    """
     try:
-        row, per_round = run_cell(config, algorithm, alpha, seed)
-        return ("ok", (algorithm, alpha, seed), row, per_round)
-    except Exception as exc:  # per-cell failures are recorded; the sweep continues
-        return ("error", (algorithm, alpha, seed), f"{type(exc).__name__}: {exc}", None)
+        return cell(*args, **kwargs), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _cell_task(cell):
+    return _attempt(run_cell, *cell)  # run_cell by module global, so a wrapper on it sees the call
 
 
 @dataclass
@@ -240,25 +248,23 @@ def run_benchmark(config: ExperimentConfig, parallel: bool = True) -> BenchmarkR
         # imported here: multiprocessing adds about 15 ms to every start-up that builds no pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_task, cells))
+            outcomes = list(pool.map(_cell_task, cells))
     else:
-        results = [_cell_task(c) for c in cells]
-
+        outcomes = [_cell_task(c) for c in cells]
     rows, failures = [], []
-    outdir = Path(config.outdir)
-    for status, key, payload, per_round in results:
-        if status == "ok":
-            rows.append(payload)
-            if per_round is not None:
-                algorithm, alpha, seed = key
-                name = f"rounds_{config.scenario}_{algorithm}_a{alpha:g}_s{seed}.csv"
-                emit_csv(per_round, list(per_round[0].keys()), outdir / name)
+    for (_, algorithm, alpha, seed), (row, error) in zip(cells, outcomes):
+        if error is None:
+            rows.append(row)
         else:
-            failures.append((key, payload))
+            failures.append(((algorithm, alpha, seed), error))
+    return _write_rows(rows, failures, Path(config.outdir), "")
 
+
+def _write_rows(rows, failures, outdir: Path, prefix: str) -> BenchmarkResult:
+    """Sort the rows; write ``<prefix>results.csv``, ``<prefix>summary.csv`` and the failures."""
     rows.sort(key=lambda r: (r.scenario, r.algorithm, r.alpha, r.seed))
-    emit_csv([r.as_dict() for r in rows], RESULT_COLUMNS, outdir / "results.csv")
-    emit_csv(summarize(rows), SUMMARY_COLUMNS, outdir / "summary.csv")
+    emit_csv([r.as_dict() for r in rows], RESULT_COLUMNS, outdir / f"{prefix}results.csv")
+    emit_csv(summarize(rows), SUMMARY_COLUMNS, outdir / f"{prefix}summary.csv")
     write_failures(failures, outdir)
     return BenchmarkResult(rows, failures, outdir)
 
@@ -277,20 +283,13 @@ def summarize(rows) -> list[dict]:
         groups.setdefault((row.scenario, row.algorithm, row.alpha), []).append(row)
     out = []
     for (scenario, algorithm, alpha), members in sorted(groups.items()):
-        def stats(attr):
+        entry = {"scenario": scenario, "algorithm": algorithm, "alpha": alpha,
+                 "n_seeds": len(members)}
+        for name, attr in (("overall", "overall_loss"), ("cumulative", "cumulative_loss"),
+                           ("switching", "switching_cost"), ("dynamic_regret", "dynamic_regret")):
             values = np.array([getattr(m, attr) for m in members], dtype=float)
-            return float(values.mean()), float(values.std())
-        overall = stats("overall_loss")
-        cumulative = stats("cumulative_loss")
-        switching = stats("switching_cost")
-        regret = stats("dynamic_regret")
-        out.append({
-            "scenario": scenario, "algorithm": algorithm, "alpha": alpha, "n_seeds": len(members),
-            "overall_mean": overall[0], "overall_std": overall[1],
-            "cumulative_mean": cumulative[0], "cumulative_std": cumulative[1],
-            "switching_mean": switching[0], "switching_std": switching[1],
-            "dynamic_regret_mean": regret[0], "dynamic_regret_std": regret[1],
-        })
+            entry[f"{name}_mean"], entry[f"{name}_std"] = float(values.mean()), float(values.std())
+        out.append(entry)
     return out
 
 
@@ -401,25 +400,20 @@ def run_control_cell(scenario: ControlScenario, seed: int) -> tuple[ResultRow, d
 
 
 def run_control_benchmark(scenario: ControlScenario) -> BenchmarkResult:
-    rows = []
-    failures = []
-    outdir = Path(scenario.outdir)
+    rows, failures = [], []
     metadata = {}  # per successful seed: each seed draws its own system and constants
     for seed in scenario.seeds:
-        try:
-            row, metadata[seed] = run_control_cell(scenario, seed)
+        outcome, error = _attempt(run_control_cell, scenario, seed)
+        if error is None:
+            row, metadata[seed] = outcome
             rows.append(row)
-        except Exception as exc:
-            failures.append(((scenario.name, seed), f"{type(exc).__name__}: {exc}"))
-    rows.sort(key=lambda r: (r.scenario, r.algorithm, r.alpha, r.seed))
-    emit_csv([r.as_dict() for r in rows], RESULT_COLUMNS, outdir / "control_results.csv")
-    emit_csv(summarize(rows), SUMMARY_COLUMNS, outdir / "control_summary.csv")
-    write_failures(failures, outdir)
+        else:
+            failures.append(((scenario.name, seed), error))
+    result = _write_rows(rows, failures, Path(scenario.outdir), "control_")
     if metadata:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "control_metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True),
-                                                      encoding="utf-8")
-    return BenchmarkResult(rows, failures, outdir)
+        text = json.dumps(metadata, indent=2, sort_keys=True)
+        (result.outdir / "control_metadata.json").write_text(text, encoding="utf-8")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +458,21 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
     plant = sys_preset.system
     a_k = plant.A - plant.B @ sys_preset.K
     true_moments = [np.linalg.matrix_power(a_k, j) @ plant.B for j in range(scenario.k + 1)]
-    trials = [[] for _ in scenario.budgets]
-    failures = [[] for _ in scenario.budgets]
+    trials, failures = [], []
     for seed in scenario.seeds:  # seed-major, so only one seed's record is held at a time
-        try:
-            gen = replace(sys_preset.disturbance, seed=seed + 31)
-            disturbances = gen.sequence(max(scenario.budgets))
-        except Exception as exc:  # per-trial failures are recorded; the sweep continues
-            for budget, budget_failures in zip(scenario.budgets, failures):
-                budget_failures.append(((budget, seed), f"{type(exc).__name__}: {exc}"))
-            continue
-        for budget, budget_trials, budget_failures in zip(scenario.budgets, trials, failures):
-            try:
-                ident, moments = identify_system(plant, sys_preset.K,
-                                                 IdentificationConfig(budget, scenario.k),
-                                                 disturbances, seed=seed)
-            except Exception as exc:  # per-trial failures are recorded; the sweep continues
-                budget_failures.append(((budget, seed), f"{type(exc).__name__}: {exc}"))
+        gen = replace(sys_preset.disturbance, seed=seed + 31)
+        disturbances, draw_error = _attempt(gen.sequence, max(scenario.budgets))
+        for budget in scenario.budgets:
+            outcome, error = (None, draw_error) if draw_error else _attempt(
+                identify_system, plant, sys_preset.K, IdentificationConfig(budget, scenario.k),
+                disturbances, seed=seed)
+            if error is not None:  # a failed draw is recorded once per budget
+                failures.append(((budget, seed), error))
                 continue
+            ident, moments = outcome
             moment_errors = [float(np.linalg.norm(estimate - truth))
                              for estimate, truth in zip(moments.N, true_moments)]
-            budget_trials.append({
+            trials.append({
                 "T0": budget,
                 "k": scenario.k,
                 "seed": seed,
@@ -492,8 +480,9 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
                 "err_B": float(np.linalg.norm(ident.B_hat - plant.B)),
                 "moment_errors": moment_errors,
             })
-    trials = [trial for budget_trials in trials for trial in budget_trials]
-    failures = [failure for budget_failures in failures for failure in budget_failures]
+    order = {budget: i for i, budget in enumerate(scenario.budgets)}
+    trials.sort(key=lambda trial: order[trial["T0"]])  # stable: seeds stay in order per budget
+    failures.sort(key=lambda failure: order[failure[0][0]])
     medians = {}
     for budget in scenario.budgets:
         errs = [t["err_A"] for t in trials if t["T0"] == budget]

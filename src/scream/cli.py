@@ -81,7 +81,7 @@ def _common_flags(sub):
     sub.add_argument("--config", help="flat key = value configuration file")
     sub.add_argument("--seed", type=int, action="append", dest="seeds",
                      help="seed to run (repeatable; overrides the config seeds)")
-    sub.add_argument("--out", help="output directory")
+    sub.add_argument("--out", dest="outdir", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     oco = subs.add_parser("oco-bench", help="piecewise-stationary regression benchmark")
     _common_flags(oco)
     oco.add_argument("--algorithms", help="comma list from ogd,ader,scream")
-    oco.add_argument("--alpha", help="comma list of regularizer coefficients")
+    oco.add_argument("--alpha", dest="alphas", help="comma list of regularizer coefficients")
     oco.add_argument("--T", type=int, help="horizon")
     oco.add_argument("--per-round", action="store_true", help="also dump per-round CSVs")
     oco.add_argument("--serial", action="store_true", help="disable the worker pool")
@@ -113,38 +113,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIGS = {"oco-bench": ExperimentConfig, "control-bench": ControlScenario,
+            "sysid-bench": SysidScenario}
+
+
 def _config(args):
-    """The command's configuration: defaults, then the config file, then the flags."""
+    """The command's configuration: defaults, then the config file, then the flags.
+
+    Each flag's dest is the config key it sets; a flag that was not given
+    (``None``, or ``False`` for ``--per-round``) leaves the key alone.
+    """
+    config = _CONFIGS[args.command]()
     updates = parse_config_file(args.config) if args.config else {}
-    if args.seeds:
-        updates["seeds"] = tuple(args.seeds)
-    if args.out is not None:
-        updates["outdir"] = args.out
+    for field in fields(config):
+        value = getattr(args, field.name, None)
+        if value is not None and value is not False:
+            updates[field.name] = tuple(value) if isinstance(value, list) else value
     if updates.get("outdir") == "":  # from the flag or the file; the default is never empty
         raise ValueError("outdir must name a directory, got an empty path")
-    if args.command == "oco-bench":
-        if args.algorithms is not None:
-            updates["algorithms"] = args.algorithms
-        if args.alpha is not None:
-            updates["alphas"] = args.alpha
-        if args.T is not None:
-            updates["T"] = args.T
-        if args.per_round:
-            updates["per_round"] = True
-        return apply_updates(ExperimentConfig(), updates)
-    if args.command == "control-bench":
-        if args.T is not None:
-            updates["T"] = args.T
-        if args.H is not None:
-            updates["H"] = args.H
-        if args.lam_multiplier is not None:
-            updates["lam_multiplier"] = args.lam_multiplier
-        if args.per_round:
-            updates["per_round"] = True
-        return apply_updates(ControlScenario(), updates)
-    if args.budgets is not None:
-        updates["budgets"] = args.budgets
-    return apply_updates(SysidScenario(), updates)
+    return apply_updates(config, updates)
 
 
 def main(argv=None) -> int:

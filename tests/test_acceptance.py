@@ -104,7 +104,7 @@ def test_criterion_6_dynamic_regret_scaling():
         ratios = []
         for seed in range(10):
             config = ExperimentConfig(T=T, segment_length=T // 5, seeds=(seed,))
-            row, _ = run_cell(config, "scream", 0.25, seed)
+            row = run_cell(config, "scream", 0.25, seed)
             ratios.append(row.dynamic_regret / np.sqrt(T * (1 + row.path_length)))
         oco_medians.append(float(np.median(ratios)))
     for a, b in zip(oco_medians, oco_medians[1:]):
