@@ -48,6 +48,13 @@ def check_distinct(config, *keys: str) -> None:
                 raise ContractViolation(f"{key} must not repeat a value, got {value!r} twice")
 
 
+def check_seeds(config) -> None:
+    """Raise :class:`ContractViolation` on a negative seed, which no numpy generator takes."""
+    for seed in config.seeds:
+        if seed < 0:
+            raise ContractViolation(f"seeds must be non-negative, got {seed}")
+
+
 def oco_learner(config: ExperimentConfig, algorithm: str, lam: float):
     """The learner of one benchmark algorithm, each tuned from ScreamConfig(T, G, D, lam).
 
@@ -112,6 +119,7 @@ class ExperimentConfig:
                 "truth radius must lie in (0, D/2] and keep Gamma^2 (D/2 + r) + |noise| Gamma <= G "
                 f"with noise in [{self.noise_low:g}, {self.noise_high:g}], so r <= "
                 f"{self.model_radius:.6g}, which leaves no valid radius")
+        check_seeds(self)
         check_distinct(self, "seeds", "alphas", "algorithms")
 
     @property
@@ -325,12 +333,17 @@ class ControlScenario:
         DisturbanceGenerator(self.disturbance_kind, 1, 0.0)  # raises on an unknown kind
         if self.T < 1 or self.H < 1 or self.segment_length < 1:
             raise ContractViolation("T, H and segment_length must be at least 1")
-        for key in ("target_radius", "control_weight", "disturbance_amplitude", "lam_multiplier"):
+        for key in ("target_radius", "control_weight", "lam_multiplier"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):
                 raise ContractViolation(f"{key} must be finite and non-negative, got {value}")
+        amplitude = self.disturbance_amplitude  # at zero the state bound, and so G_f, is 0
+        if not (math.isfinite(amplitude) and amplitude > 0):
+            raise ContractViolation(
+                f"disturbance_amplitude must be finite and positive, got {amplitude}")
         if not self.seeds:
             raise ContractViolation("need at least one seed")
+        check_seeds(self)
         check_distinct(self, "seeds")
 
     def segments(self) -> list[tuple[int, int]]:
@@ -440,6 +453,7 @@ class SysidScenario:
                 IdentificationConfig(budget, self.k)
             except ContractViolation as exc:
                 raise ContractViolation(f"budget {budget} with k = {self.k}: {exc}") from None
+        check_seeds(self)
         check_distinct(self, "seeds", "budgets")
 
 

@@ -381,4 +381,6 @@ class QuadraticTrackingCost:
 
 def tracking_grad_coeff(state_bound: float, target_bound: float, control_weight: float = 0.1) -> float:
     """Smallest G_c with ||grad_x c||, ||grad_u c|| <= G_c * D whenever ||x||, ||u|| <= D."""
+    if not state_bound > 0:
+        raise ContractViolation(f"state bound must be positive, got {state_bound}")
     return max(2.0 * (state_bound + target_bound) / state_bound, 2.0 * control_weight)

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from scream import verify
-from scream.cli import apply_updates, main, parse_config_file
+from scream.cli import _config, apply_updates, build_parser, main, parse_config_file
 from scream.bench import ControlScenario, ExperimentConfig
+from scream.oco import ContractViolation
 
 from conftest import parse_csv
 
@@ -167,6 +168,13 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["sysid-bench", "--seed", "0", "--seed", "0"], "",
      "seeds must not repeat a value, got 0 twice"),
     (["sysid-bench", "--budgets", "250,250"], "", "budgets must not repeat a value, got 250 twice"),
+    # numpy's generators take no negative seed: every cell would fail on it
+    (["oco-bench", "--seed", "-1"], "", "seeds must be non-negative, got -1"),
+    (["control-bench"], "seeds = 0, -2\n", "seeds must be non-negative, got -2"),
+    (["sysid-bench", "--seed", "0", "--seed", "-3"], "", "seeds must be non-negative, got -3"),
+    # without disturbances the state bound is 0 and no tuning exists
+    (["control-bench"], "disturbance_amplitude = 0\n",
+     "disturbance_amplitude must be finite and positive, got 0.0"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):
@@ -186,6 +194,8 @@ def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, arg
                                  "lam_multiplier"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_bad_control_scenario_value_is_one_error_line_with_exit_two(tmp_path, capsys, key, value):
+    # no tuning exists without disturbances (G_f is 0), so only the amplitude must be positive
+    contract = "positive" if key == "disturbance_amplitude" else "non-negative"
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"T = 30\nH = 2\n{key} = {value}\n", encoding="utf-8")
     out = tmp_path / "out"
@@ -194,9 +204,43 @@ def test_bad_control_scenario_value_is_one_error_line_with_exit_two(tmp_path, ca
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"scream: error: {key} must be finite and non-negative, got {float(value)}"]
+        f"scream: error: {key} must be finite and {contract}, got {float(value)}"]
     assert not out.exists()
-    assert getattr(apply_updates(ControlScenario(), {key: "0"}), key) == 0.0  # zero stays valid
+    if contract == "positive":
+        with pytest.raises(ContractViolation, match=f"{key} must be finite and positive"):
+            apply_updates(ControlScenario(), {key: "0"})
+    else:
+        assert getattr(apply_updates(ControlScenario(), {key: "0"}), key) == 0.0  # zero is valid
+
+
+# every flag of every benchmark subcommand sets the config key of its dest; a key whose
+# flag is absent keeps the file's value
+@pytest.mark.parametrize("argv, config, key, value", [
+    (["oco-bench", "--T", "50"], "", "T", 50),
+    (["oco-bench", "--algorithms", "ogd,ader"], "", "algorithms", ("ogd", "ader")),
+    (["oco-bench", "--alpha", "0.2,0.3"], "", "alphas", (0.2, 0.3)),
+    (["oco-bench", "--seed", "3", "--seed", "5"], "", "seeds", (3, 5)),
+    (["oco-bench", "--out", "flag-out"], "outdir = file-out\n", "outdir", "flag-out"),
+    (["oco-bench", "--per-round"], "", "per_round", True),
+    (["oco-bench"], "per_round = true\n", "per_round", True),
+    (["oco-bench", "--serial"], "T = 70\n", "T", 70),
+    (["control-bench", "--T", "90"], "T = 70\n", "T", 90),
+    (["control-bench", "--H", "3"], "", "H", 3),
+    (["control-bench", "--lam-multiplier", "0.25"], "", "lam_multiplier", 0.25),
+    (["control-bench", "--seed", "4"], "seeds = 1, 2\n", "seeds", (4,)),
+    (["control-bench", "--out", "flag-out"], "", "outdir", "flag-out"),
+    (["control-bench", "--per-round"], "", "per_round", True),
+    (["control-bench"], "per_round = true\n", "per_round", True),
+    (["sysid-bench", "--budgets", "300,600"], "", "budgets", (300, 600)),
+    (["sysid-bench", "--seed", "7", "--seed", "8"], "", "seeds", (7, 8)),
+    (["sysid-bench", "--out", "flag-out"], "", "outdir", "flag-out"),
+])
+def test_every_flag_lands_on_its_config_key(tmp_path, argv, config, key, value):
+    cfg = tmp_path / "flags.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    built = _config(build_parser().parse_args(argv + ["--config", str(cfg)]))
+    assert getattr(built, key) == value
+    assert type(getattr(built, key)) is type(value)  # a repeated --seed gives a tuple
 
 
 @pytest.mark.parametrize("command", ["oco-bench", "control-bench", "sysid-bench"])

@@ -626,6 +626,12 @@ class TestLipschitzConstants:
         with pytest.raises(ContractViolation):
             lipschitz_constants(2.0, 0.1, 1.0, 1.0, 1.0, 1, 2, 3)
 
+    @pytest.mark.parametrize("state_bound", [0.0, -1.0, float("nan")])
+    def test_tracking_grad_coeff_needs_a_positive_state_bound(self, state_bound):
+        # a zero state bound (no disturbance) admits no G_c: the ratio would divide by zero
+        with pytest.raises(ContractViolation, match="state bound must be positive"):
+            tracking_grad_coeff(state_bound, 1.0)
+
     def test_caps_geometric(self):
         feasible = DacFeasibleSet.from_certificate(1.2, 0.3, 0.8, 5, 2, 3)
         ratios = feasible.caps[1:] / feasible.caps[:-1]

@@ -28,6 +28,8 @@ CSV column prints.
 The CLI runs of ``oco_t300_seg1``, ``control_t400`` and ``sysid_small`` are
 also repeated in child processes under one and two OpenBLAS threads: both
 must write the same bytes, apart from ``wall_time_ms``, and match the goldens.
+Since the CSVs print 9 digits, two more children write the raw bytes of the
+arrays behind those runs, which must be equal to the last bit.
 """
 
 import json
@@ -132,10 +134,50 @@ CLI_GOLDEN_RUNS = (
 )
 
 
+# Runs the sweeps of the three goldens (the OCO one on its scream cell at alpha 0.5, seed 0,
+# and control on seed 0) and writes the raw bytes of the arrays they compute: the OCO
+# decisions, the controller's states, the segment comparators and every trial's moments.
+ARRAYS_CHILD = """
+import sys
+from pathlib import Path
+
+from scream import bench, learners
+
+out = Path(sys.argv[1])
+arrays = {}
+
+def keep(owner, name, pick):
+    original = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        arrays.setdefault(name, []).append(pick(result).tobytes())
+        return result
+    setattr(owner, name, wrapper)
+
+keep(learners, "run_online", lambda run: run.decisions)
+keep(bench, "run_scream_control", lambda run: run.states)
+keep(bench, "best_fixed_dac_per_segment", lambda comparators: comparators)
+keep(bench, "identify_system", lambda result: result[1].N)
+bench.run_benchmark(bench.ExperimentConfig(T=300, segment_length=1, seeds=(0,), alphas=(0.5,),
+                                           algorithms=("scream",), outdir=str(out / "oco")),
+                    parallel=False)
+bench.run_control_benchmark(bench.ControlScenario(T=400, seeds=(0,), outdir=str(out / "control")))
+bench.run_sysid_benchmark(bench.SysidScenario(budgets=(250, 1000), seeds=(0, 1, 2),
+                                              outdir=str(out / "sysid")))
+for name, chunks in arrays.items():
+    (out / f"{name}.bin").write_bytes(b"".join(chunks))
+"""
+
+
 def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # each child sets the thread count in its own environment, before numpy loads BLAS
     path = os.pathsep.join(filter(None, [str(Path(scream.__file__).resolve().parents[1]),
                                          os.environ.get("PYTHONPATH")]))
+    arrays = {threads: subprocess.Popen(
+        [sys.executable, "-c", ARRAYS_CHILD, str(tmp_path / "arrays" / threads)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")}
     for name, args, config_text, csvs, jsons in CLI_GOLDEN_RUNS:
         if config_text is not None:
             (tmp_path / f"{name}.cfg").write_text(config_text, encoding="utf-8")
@@ -157,3 +199,12 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             _assert_matches_golden(outdir, name, csvs)
             for filename in jsons:
                 _assert_json_matches_golden(outdir, name, filename)
+    for threads, child in arrays.items():
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, f"arrays, {threads} thread(s): {err.decode()}"
+    sizes = {"run_online": 300 * 10, "run_scream_control": 401 * 3,
+             "best_fixed_dac_per_segment": 400 * 5 * 2 * 3, "identify_system": 6 * 3 * 3 * 2}
+    for name, size in sizes.items():
+        one, two = (tmp_path / "arrays" / threads / f"{name}.bin" for threads in ("1", "2"))
+        assert len(one.read_bytes()) == 8 * size, name
+        assert one.read_bytes() == two.read_bytes(), f"{name} changes with the thread count"
