@@ -136,10 +136,13 @@ CLI_GOLDEN_RUNS = (
 
 # Runs the sweeps of the three goldens (the OCO one on its scream cell at alpha 0.5, seed 0,
 # and control on seed 0) and writes the raw bytes of the arrays they compute: the OCO
-# decisions, the controller's states, the segment comparators and every trial's moments.
+# decisions, the controller's states, the segment comparators, every trial's moments, and
+# the metrics of each result row, whose CSV prints only 9 digits.
 ARRAYS_CHILD = """
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from scream import bench, learners
 
@@ -158,12 +161,16 @@ keep(learners, "run_online", lambda run: run.decisions)
 keep(bench, "run_scream_control", lambda run: run.states)
 keep(bench, "best_fixed_dac_per_segment", lambda comparators: comparators)
 keep(bench, "identify_system", lambda result: result[1].N)
-bench.run_benchmark(bench.ExperimentConfig(T=300, segment_length=1, seeds=(0,), alphas=(0.5,),
-                                           algorithms=("scream",), outdir=str(out / "oco")),
-                    parallel=False)
-bench.run_control_benchmark(bench.ControlScenario(T=400, seeds=(0,), outdir=str(out / "control")))
+oco = bench.run_benchmark(bench.ExperimentConfig(
+    T=300, segment_length=1, seeds=(0,), alphas=(0.5,), algorithms=("scream",),
+    outdir=str(out / "oco")), parallel=False)
+control = bench.run_control_benchmark(bench.ControlScenario(T=400, seeds=(0,),
+                                                            outdir=str(out / "control")))
 bench.run_sysid_benchmark(bench.SysidScenario(budgets=(250, 1000), seeds=(0, 1, 2),
                                               outdir=str(out / "sysid")))
+for name, result in (("oco_rows", oco), ("control_rows", control)):
+    metrics = [[getattr(row, c) for c in bench.RESULT_COLUMNS[4:-1]] for row in result.rows]
+    arrays[name] = [np.array(metrics).tobytes()]  # every metric but wall_time_ms
 for name, chunks in arrays.items():
     (out / f"{name}.bin").write_bytes(b"".join(chunks))
 """
@@ -203,7 +210,8 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         _, err = child.communicate(timeout=120)
         assert child.returncode == 0, f"arrays, {threads} thread(s): {err.decode()}"
     sizes = {"run_online": 300 * 10, "run_scream_control": 401 * 3,
-             "best_fixed_dac_per_segment": 400 * 5 * 2 * 3, "identify_system": 6 * 3 * 3 * 2}
+             "best_fixed_dac_per_segment": 400 * 5 * 2 * 3, "identify_system": 6 * 3 * 3 * 2,
+             "oco_rows": 5, "control_rows": 5}
     for name, size in sizes.items():
         one, two = (tmp_path / "arrays" / threads / f"{name}.bin" for threads in ("1", "2"))
         assert len(one.read_bytes()) == 8 * size, name
