@@ -14,13 +14,20 @@ regenerated:
                  the single-input tracking-3x1 preset of the regret-scaling
                  study (d_u = 1, H = 3), with its ``control_metadata.json``;
   sysid_small    ``scream sysid-bench --budgets 250,1000`` with seeds 0, 1, 2;
+  oco_t300_rounds
+                 the per-round CSVs of ``scream oco-bench --T 300 --seed 0
+                 --alpha 0.5 --per-round --serial``, one per algorithm;
+  control_t400_rounds
+                 the per-round CSV of ``scream control-bench --T 400 --seed 0
+                 --per-round``;
   verify_seed0.txt
                  the stdout of ``scream verify --seed 0``.
 
 Every field is compared at the 9 significant digits the CSVs print, except
 ``wall_time_ms``, the one measured column.  The JSON report is compared the
 same way: every number at 9 significant digits, everything else exactly.
-The verify output is compared line by line, exactly.
+The verify output is compared line by line, exactly, and the per-round CSVs
+byte for byte: they carry no measured column.
 The control metadata holds the controller's tuning (step-size pool, meta rate,
 number of experts, movement weight and the structural constants), which no
 CSV column prints.
@@ -121,6 +128,20 @@ def test_verify_output_matches_golden(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     expected = (GOLDEN / "verify_seed0.txt").read_text(encoding="utf-8").splitlines()
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("oco_t300_rounds", ["oco-bench", "--T", "300", "--seed", "0", "--alpha", "0.5",
+                         "--per-round", "--serial"]),
+    ("control_t400_rounds", ["control-bench", "--T", "400", "--seed", "0", "--per-round"]),
+])
+def test_per_round_csvs_match_golden_byte_for_byte(tmp_path, capsys, name, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    golden = sorted(path.name for path in (GOLDEN / name).glob("rounds_*.csv"))
+    assert sorted(path.name for path in tmp_path.glob("rounds_*.csv")) == golden
+    for filename in golden:
+        assert (tmp_path / filename).read_bytes() == (GOLDEN / name / filename).read_bytes(), \
+            f"{name}/{filename}"
 
 
 # (golden, CLI arguments, config file text or None, CSV files, JSON files)
