@@ -48,9 +48,9 @@ def check_distinct(config, *keys: str) -> None:
                 raise ContractViolation(f"{key} must not repeat a value, got {value!r} twice")
 
 
-def check_seeds(config) -> None:
+def check_seeds(seeds) -> None:
     """Raise :class:`ContractViolation` on a negative seed, which no numpy generator takes."""
-    for seed in config.seeds:
+    for seed in seeds:
         if seed < 0:
             raise ContractViolation(f"seeds must be non-negative, got {seed}")
 
@@ -119,7 +119,7 @@ class ExperimentConfig:
                 "truth radius must lie in (0, D/2] and keep Gamma^2 (D/2 + r) + |noise| Gamma <= G "
                 f"with noise in [{self.noise_low:g}, {self.noise_high:g}], so r <= "
                 f"{self.model_radius:.6g}, which leaves no valid radius")
-        check_seeds(self)
+        check_seeds(self.seeds)
         check_distinct(self, "seeds", "alphas", "algorithms")
 
     @property
@@ -343,7 +343,7 @@ class ControlScenario:
                 f"disturbance_amplitude must be finite and positive, got {amplitude}")
         if not self.seeds:
             raise ContractViolation("need at least one seed")
-        check_seeds(self)
+        check_seeds(self.seeds)
         check_distinct(self, "seeds")
 
     def segments(self) -> list[tuple[int, int]]:
@@ -367,13 +367,10 @@ def gen_control_scenario(scenario: ControlScenario, seed: int):
     sys_preset = preset(scenario.preset, seed=seed)
     loop = ClosedLoop(sys_preset.system, sys_preset.K, sys_preset.certificate)
     rng = np.random.default_rng(seed + 1000)
-    boundaries = scenario.segments()
-    targets_per_segment = _uniform_ball(rng, len(boundaries), sys_preset.system.d_x,
+    targets_per_segment = _uniform_ball(rng, len(scenario.segments()), sys_preset.system.d_x,
                                         scenario.target_radius)
-    costs = []
-    for idx, (lo, hi) in enumerate(boundaries):
-        for _ in range(lo, hi):
-            costs.append(QuadraticTrackingCost(targets_per_segment[idx], scenario.control_weight))
+    costs = [QuadraticTrackingCost(target, scenario.control_weight)
+             for target in targets_per_segment[np.arange(scenario.T) // scenario.segment_length]]
     # piecewise disturbance regimes change with the cost segments, so the best
     # fixed policy genuinely differs from one segment to the next
     gen = replace(sys_preset.disturbance, kind=scenario.disturbance_kind,
@@ -453,7 +450,7 @@ class SysidScenario:
                 IdentificationConfig(budget, self.k)
             except ContractViolation as exc:
                 raise ContractViolation(f"budget {budget} with k = {self.k}: {exc}") from None
-        check_seeds(self)
+        check_seeds(self.seeds)
         check_distinct(self, "seeds", "budgets")
 
 

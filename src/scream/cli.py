@@ -20,8 +20,8 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
-from .bench import (ControlScenario, ExperimentConfig, SysidScenario, run_benchmark,
-                    run_control_benchmark, run_sysid_benchmark)
+from .bench import (ControlScenario, ExperimentConfig, SysidScenario, check_seeds,
+                    run_benchmark, run_control_benchmark, run_sysid_benchmark)
 from .verify import run_verification
 
 
@@ -136,16 +136,17 @@ def _config(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "verify":
-        return 0 if run_verification(seed=args.seed) else 1
-
     try:
-        config = _config(args)
+        if args.command == "verify":
+            check_seeds((args.seed,))
+        else:
+            config = _config(args)
     except (OSError, ValueError) as exc:  # ContractViolation is a ValueError
         print(f"scream: error: {exc}", file=sys.stderr)
         return 2
 
+    if args.command == "verify":
+        return 0 if run_verification(seed=args.seed) else 1
     if args.command == "oco-bench":
         result = run_benchmark(config, parallel=not args.serial)
     elif args.command == "control-bench":

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .csvio import column_rows
 from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, lag_table, simulate_dac,
                   unary_truncated_gradient, unary_truncated_map)
 from .lds import LinearSystem
@@ -114,21 +115,18 @@ class ControlRun:
 
 
 def control_trajectory_rows(run: ControlRun) -> list[dict]:
-    """Per-round rows (t, cost, state/action norms, parameter norm, meta entropy, disturbance norm)."""
-    rows = []
-    for t, p in enumerate(run.weights):
-        positive = p[p > 0]
-        entropy = float(-np.sum(positive * np.log(positive)))
-        rows.append({
-            "t": t + 1,
-            "cost": float(run.cost_values[t]),
-            "state_norm": float(np.linalg.norm(run.states[t])),
-            "action_norm": float(np.linalg.norm(run.actions[t])),
-            "param_norm": float(np.linalg.norm(run.params[t])),
-            "meta_entropy": entropy,
-            "disturbance_norm": float(np.linalg.norm(run.disturbances[t])),
-        })
-    return rows
+    """Per-round rows (t, cost, state/action norms, parameter norm, meta entropy, disturbance norm).
+
+    The meta entropy takes p log p as 0 where a weight p is 0.
+    """
+    p = run.weights
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return column_rows(t=range(1, run.T + 1), cost=run.cost_values,
+                       state_norm=np.linalg.norm(run.states[:-1], axis=1),
+                       action_norm=np.linalg.norm(run.actions, axis=1),
+                       param_norm=np.linalg.norm(run.params.reshape(run.T, -1), axis=1),
+                       meta_entropy=-np.sum(p * logs, axis=1),
+                       disturbance_norm=np.linalg.norm(run.disturbances, axis=1))
 
 
 def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, costs,
@@ -258,10 +256,7 @@ def best_fixed_dac_per_segment(loop: ClosedLoop, costs, disturbances, boundaries
         flat = theta.reshape(S, P)
         grad = (quad @ flat[:, :, None])[:, :, 0] + lin
         theta = feasible.project((flat - rate * grad).reshape(theta.shape))
-    out = np.empty((lags_all.shape[0],) + shape)
-    for s, (lo, hi) in enumerate(boundaries):
-        out[lo:hi] = theta[s]
-    return out
+    return np.repeat(theta, [hi - lo for lo, hi in boundaries], axis=0)
 
 
 def segment_boundaries(T: int, segment_length: int) -> list[tuple[int, int]]:

@@ -9,11 +9,14 @@ from pathlib import Path
 
 def format_value(value) -> str:
     """Floats carry 9 significant digits; everything else is str()."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
+
+
+def column_rows(**columns) -> list[dict]:
+    """The row dicts of equal-length columns, keyed in the keywords' order."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values(), strict=True)]
 
 
 def emit_csv(rows, columns, path) -> Path:

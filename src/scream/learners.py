@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csvio import column_rows
 from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, SquareLossStream,
                   as_vector, regret_metrics)
 
@@ -310,16 +311,7 @@ def run_online(learner, losses: SquareLossStream) -> OcoRun:
 
 def trajectory_rows(run: OcoRun):
     """Per-round rows (t, decision norm, loss, instantaneous movement)."""
-    rows = []
-    incurred = run.incurred
-    prev = run.decisions[0]
-    for t in range(run.T):
-        w = run.decisions[t]
-        rows.append({
-            "t": t + 1,
-            "decision_norm": float(np.linalg.norm(w)),
-            "loss": float(incurred[t]),
-            "movement": float(np.linalg.norm(w - prev)),
-        })
-        prev = w
-    return rows
+    w = run.decisions
+    return column_rows(t=range(1, run.T + 1), decision_norm=np.linalg.norm(w, axis=1),
+                       loss=run.incurred,
+                       movement=np.linalg.norm(np.diff(w, axis=0, prepend=w[:1]), axis=1))

@@ -204,7 +204,7 @@ def check_transfer_equivalence(rng, systems: int = 5):
     if worst > 1e-8:
         return False, f"transfer expansion mismatch {worst:.3g}"
     return True, (f"transfer expansion matches simulation on {systems} systems "
-                  f"(worst rel err {worst:.2e})")
+                  "(worst rel err within 1e-8)")
 
 
 FD_STEP, FD_TOL = 1.0, 1e-10  # the step of check_gradient_fd and its worst relative error
@@ -239,7 +239,7 @@ def check_gradient_fd(rng, cases: int = 5):
     if worst > FD_TOL:
         return False, f"gradient/difference mismatch {worst:.3g}"
     return True, (f"gradients match finite differences on {cases} instances "
-                  f"(worst entry rel err {worst:.2e})")
+                  f"(worst entry rel err within {FD_TOL:g})")
 
 
 def check_truncation_bounds(rng, horizons=(4,), T: int = 80):

@@ -8,7 +8,7 @@ from scream.bench import (ALGORITHMS, RESULT_COLUMNS, ControlScenario, Experimen
                           SysidScenario, gen_control_scenario, gen_piecewise_regression,
                           run_benchmark, run_cell, run_control_cell, run_sysid_benchmark,
                           summarize)
-from scream.csvio import emit_csv
+from scream.csvio import column_rows, emit_csv, format_value
 from scream.lds import DisturbanceGenerator, preset
 from scream.oco import ContractViolation
 from scream.sysid import IdentificationConfig, identify_system
@@ -185,6 +185,27 @@ class TestEmitCsv:
     def test_nine_significant_digits(self, tmp_path):
         path = emit_csv([{"v": 0.123456789123}], ("v",), tmp_path / "fmt.csv")
         assert "0.123456789" in path.read_text(encoding="utf-8")
+
+    def test_column_rows_keep_the_keyword_order_and_reject_ragged_columns(self):
+        rows = column_rows(t=range(1, 3), v=np.array([0.5, 2.0]))
+        assert rows == [{"t": 1, "v": 0.5}, {"t": 2, "v": 2.0}]
+        assert [list(row) for row in rows] == [["t", "v"]] * 2
+        with pytest.raises(ValueError):
+            column_rows(t=range(3), v=np.zeros(2))
+
+    def test_numpy_scalars_print_the_bytes_of_python_numbers(self, tmp_path):
+        rng = np.random.default_rng(0)
+        floats = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+                                 [0.0, -0.0, 5e-324, 1e-310, np.inf, -np.inf, np.nan]])
+        ints = np.arange(-5, 4000, 7)
+        numpy_rows = column_rows(v=floats) + column_rows(v=ints)
+        assert {type(row["v"]) for row in numpy_rows} == {np.float64, np.int64}
+        python_rows = [{"v": float(x)} for x in floats] + [{"v": int(n)} for n in ints]
+        assert (emit_csv(numpy_rows, ("v",), tmp_path / "numpy.csv").read_bytes()
+                == emit_csv(python_rows, ("v",), tmp_path / "python.csv").read_bytes())
+
+    def test_booleans_print_as_str(self):
+        assert [format_value(True), format_value(False)] == ["True", "False"]
 
     def test_byte_identical_reruns(self, tmp_path):
         rows = [{"a": 0.1, "b": 2}, {"a": 0.25, "b": 3}]

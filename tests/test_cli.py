@@ -334,6 +334,16 @@ def test_verify_subcommand_reports_a_failing_check(capsys, monkeypatch):
     assert failed == [f"[FAIL] {name}: forced failure"]
 
 
+def test_verify_negative_seed_is_one_error_line_with_exit_two(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS", (("record", lambda rng: ran.append(rng) or (True, "")),))
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scream: error: seeds must be non-negative, got -1\n"
+    assert ran == []
+
+
 def test_console_script_registered():
     """The `scream` console script is declared as `scream.cli:main` and resolves to it.
 

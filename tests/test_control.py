@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,19 @@ class TestScreamControlRound:
         assert np.all(run.weights[:config.H + 1] == nonuniform_prior(n))  # warm-up
         entropies = [row["meta_entropy"] for row in control_trajectory_rows(run)]
         assert entropies == pytest.approx([-np.sum(p * np.log(p)) for p in seen], rel=1e-12)
+
+    def test_meta_entropy_takes_zero_weights_as_zero(self):
+        loop, feasible, config, costs, w = small_setup(T=10, H=2)
+        run = run_scream_control(loop, loop.system, w, costs, config, feasible=feasible)
+        n = run.weights.shape[1]
+        run.weights[3] = np.eye(n)[0]
+        run.weights[4] = np.r_[0.5, 0.5, np.zeros(n - 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entropies = [row["meta_entropy"] for row in control_trajectory_rows(run)]
+        assert entropies[3] == 0.0
+        assert entropies[4] == pytest.approx(np.log(2), rel=1e-15)
+        assert np.isfinite(entropies).all()
 
     def test_aggregation_residual_invariant(self):
         loop, feasible, config, costs, w = small_setup(T=40)
