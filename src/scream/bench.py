@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +28,6 @@ from .learners import (Ader, OgdMemory, Scream, ScreamConfig, ogd_default_step_s
                        trajectory_rows)
 from .oco import ContractViolation, DomainBall, RegretReport, SquareLossStream
 from .sysid import IdentificationConfig, identify_system
-
-RESULT_COLUMNS = ("scenario", "algorithm", "seed", "alpha", "overall_loss", "cumulative_loss",
-                  "switching_cost", "dynamic_regret", "path_length", "wall_time_ms")
 
 SUMMARY_COLUMNS = ("scenario", "algorithm", "alpha", "n_seeds",
                    "overall_mean", "overall_std", "cumulative_mean", "cumulative_std",
@@ -200,6 +197,9 @@ class ResultRow:
 
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in RESULT_COLUMNS}
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def run_cell(config: ExperimentConfig, algorithm: str, alpha: float, seed: int) -> ResultRow:
@@ -467,8 +467,8 @@ def run_sysid_benchmark(scenario: SysidScenario) -> dict:
     """
     sys_preset = preset(scenario.preset, seed=0)
     plant = sys_preset.system
-    a_k = plant.A - plant.B @ sys_preset.K
-    true_moments = [np.linalg.matrix_power(a_k, j) @ plant.B for j in range(scenario.k + 1)]
+    powers_b = ClosedLoop(plant, sys_preset.K, sys_preset.certificate).flat_powers(scenario.k + 1)[1]
+    true_moments = powers_b.reshape(plant.d_x, scenario.k + 1, -1).swapaxes(0, 1)
     trials, failures = [], []
     for seed in scenario.seeds:  # seed-major, so only one seed's record is held at a time
         gen = replace(sys_preset.disturbance, seed=seed + 31)

@@ -104,7 +104,7 @@ class DacFeasibleSet:
             raise ContractViolation(
                 f"expected trailing shape {(self.H, self.d_u, self.d_x)}, got {M.shape}")
 
-    @np.errstate(invalid="ignore")  # an infinite entry may give NaN, which the finite check catches
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow or NaN fails the finite check below
     def _gram(self, M: np.ndarray):
         """Closed-form spectra of the blocks whose short side k = min(d_u, d_x) is 1 or 2.
 

@@ -224,17 +224,6 @@ class SystemPreset:
     disturbance: DisturbanceGenerator
 
 
-_PRESET_BUILDERS = {}
-
-
-def _register(name):
-    def deco(fn):
-        _PRESET_BUILDERS[name] = fn
-        return fn
-    return deco
-
-
-@_register("mild-3x2")
 def _mild_3x2(seed: int = 0) -> SystemPreset:
     # symmetric A (orthonormal eigenbasis, kappa = 1) with comfortable contraction
     system = random_stable_system(3, 2, spectral_radius=0.6, seed=seed, normal=True)
@@ -244,7 +233,6 @@ def _mild_3x2(seed: int = 0) -> SystemPreset:
     return SystemPreset("mild-3x2", system, K, cert, gen)
 
 
-@_register("spin-3x2")
 def _spin_3x2(seed: int = 0) -> SystemPreset:
     # generic (non-normal) stable A at spectral radius 0.9; certificate derived
     system = random_stable_system(3, 2, spectral_radius=0.9, seed=seed)
@@ -254,7 +242,6 @@ def _spin_3x2(seed: int = 0) -> SystemPreset:
     return SystemPreset("spin-3x2", system, K, cert, gen)
 
 
-@_register("scaling-3x1")
 def _scaling_3x1(seed: int = 0) -> SystemPreset:
     # single-input plant: the worst-case tuning constants are tight here, so the
     # horizon-tuned learner is actually responsive at desk scale
@@ -265,7 +252,6 @@ def _scaling_3x1(seed: int = 0) -> SystemPreset:
     return SystemPreset("scaling-3x1", system, K, cert, gen)
 
 
-@_register("sysid-3x2")
 def _sysid_3x2(seed: int = 0) -> SystemPreset:
     rng = np.random.default_rng(seed + 17)
     A = np.array([[0.6, 0.1, 0.0],
@@ -280,8 +266,12 @@ def _sysid_3x2(seed: int = 0) -> SystemPreset:
     return SystemPreset("sysid-3x2", system, K, cert, gen)
 
 
+_PRESET_BUILDERS = {"mild-3x2": _mild_3x2, "spin-3x2": _spin_3x2, "scaling-3x1": _scaling_3x1,
+                    "sysid-3x2": _sysid_3x2}
+
+
 def check_preset(name: str) -> None:
-    """Raise :class:`ContractViolation` unless ``name`` is a registered preset."""
+    """Raise :class:`ContractViolation` unless ``name`` is a preset name."""
     if name not in _PRESET_BUILDERS:
         raise ContractViolation(f"unknown system preset {name!r}; available: {preset_names()}")
 

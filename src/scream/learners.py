@@ -291,11 +291,6 @@ class OcoRun:
     def T(self) -> int:
         return self.decisions.shape[0]
 
-    @property
-    def incurred(self) -> np.ndarray:
-        """f_t at the learner's own decisions, one window-loss pass on each read."""
-        return self.losses.window_losses(self.decisions)
-
     def report(self, comparators, lam: float) -> RegretReport:
         return regret_metrics(self.decisions, comparators, self.losses, lam)
 
@@ -313,5 +308,5 @@ def trajectory_rows(run: OcoRun):
     """Per-round rows (t, decision norm, loss, instantaneous movement)."""
     w = run.decisions
     return column_rows(t=range(1, run.T + 1), decision_norm=np.linalg.norm(w, axis=1),
-                       loss=run.incurred,
+                       loss=run.losses.window_losses(w),
                        movement=np.linalg.norm(np.diff(w, axis=0, prepend=w[:1]), axis=1))

@@ -57,9 +57,6 @@ class IdentifiedSystem:
     B_hat: np.ndarray
     exploration: Trajectory
 
-    def as_system(self) -> LinearSystem:
-        return LinearSystem(self.A_hat, self.B_hat)
-
 
 def explore(plant: LinearSystem, K, T0: int, disturbances, rng):
     """Drive the plant with u = -K x + z, z ~ {+-1}^(d_u); returns (trajectory, sign inputs).
@@ -160,7 +157,8 @@ def run_unknown_pipeline(plant: LinearSystem, K, id_config: IdentificationConfig
     explored = identified.exploration
     exploration_cost = float(np.sum([costs[t].value(explored.states[t], explored.actions[t])
                                      for t in range(T0)]))
-    believed_system = inject_system if inject_system is not None else identified.as_system()
+    believed_system = (inject_system if inject_system is not None
+                       else LinearSystem(identified.A_hat, identified.B_hat))
     certificate = certify_strong_stability(believed_system, K)
     if not certificate.accepted:
         raise InsufficientExcitation(

@@ -9,7 +9,7 @@ from scream.bench import (ALGORITHMS, RESULT_COLUMNS, ControlScenario, Experimen
                           run_benchmark, run_cell, run_control_cell, run_sysid_benchmark,
                           summarize)
 from scream.csvio import column_rows, emit_csv, format_value
-from scream.lds import DisturbanceGenerator, preset
+from scream.lds import DisturbanceGenerator, preset, preset_names
 from scream.oco import ContractViolation
 from scream.sysid import IdentificationConfig, identify_system
 
@@ -375,6 +375,19 @@ class TestSysidBenchmark:
         scenario = SysidScenario(budgets=budgets, seeds=seeds, outdir=str(tmp_path / "sysid"))
         assert run_sysid_benchmark(scenario) == expected
         assert draws == [(31, 800), (32, 800), (33, 800)]
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_moment_errors_at_full_precision(self, tmp_path, name):
+        # the report's truths come from ClosedLoop's power table; the reference takes matrix_power
+        scenario = SysidScenario(preset=name, budgets=(250,), seeds=(4,), outdir=str(tmp_path))
+        [trial] = run_sysid_benchmark(scenario)["trials"]
+        p = preset(name, seed=0)
+        w = replace(p.disturbance, seed=4 + 31).sequence(250)
+        _, moments = identify_system(p.system, p.K, IdentificationConfig(250, 2), w, seed=4)
+        a_k = p.system.A - p.system.B @ p.K
+        assert trial["moment_errors"] == [
+            float(np.linalg.norm(moments.N[j] - np.linalg.matrix_power(a_k, j) @ p.system.B))
+            for j in range(3)]
 
     def test_failed_draw_recorded_for_every_budget(self, tmp_path, monkeypatch):
         original = DisturbanceGenerator.sequence

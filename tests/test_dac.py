@@ -534,11 +534,12 @@ class TestClosedFormProjection:
         np.testing.assert_allclose(feasible.spectral_norms(M), want[1], rtol=1e-13, atol=0)
         assert feasible.contains(feasible.random_point(rng))
 
+    @pytest.mark.filterwarnings("error")  # the squares overflow silently before the SVD runs
     def test_overflowing_square_falls_back_to_svd(self, rng):
         feasible = DacFeasibleSet(self.CAPS, 2, 3)
         M = rng.standard_normal((4, 2, 3)) * 1e200
-        with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow before the SVD runs
-            out, norms = feasible.project(M), feasible.spectral_norms(M)
+        out, norms = feasible.project(M), feasible.spectral_norms(M)
+        assert not feasible.contains(M)
         np.testing.assert_allclose(out, svd_project(M, self.CAPS), rtol=0, atol=1e-15)
         np.testing.assert_allclose(norms, np.linalg.svd(M, compute_uv=False)[:, 0], rtol=1e-13)
 

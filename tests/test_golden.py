@@ -40,14 +40,23 @@ also repeated in child processes under one and two OpenBLAS threads: both
 must write the same bytes, apart from ``wall_time_ms``, and match the goldens.
 Since the CSVs print 9 digits, two more children write the raw bytes of the
 arrays behind those runs, which must be equal to the last bit.
+
+The same three runs and ``scream verify --seed 0`` are repeated on two other
+x86-64 kernels, each in a child process: one under OpenBLAS's ``Haswell``
+kernel, one with numpy's AVX2 and AVX-512 paths disabled.  Their outputs must
+match the goldens as above, not byte for byte: raw arrays move in their last
+bits across kernels.  Each child reads back the kernel it runs on, so an
+override that did not take effect fails the test.
 """
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scream
@@ -200,23 +209,36 @@ for name, chunks in arrays.items():
 """
 
 
-def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # each child sets the thread count in its own environment, before numpy loads BLAS
+def _child_env(**variables):
+    """The environment of a child process that imports this scream, with ``variables`` added.
+
+    Each variable is set in the child only, before its numpy loads.
+    """
     path = os.pathsep.join(filter(None, [str(Path(scream.__file__).resolve().parents[1]),
                                          os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
+def _cli_args(tmp_path, name, args, config_text):
+    """A golden run's CLI arguments, with its config text (if any) written under ``tmp_path``."""
+    if config_text is None:
+        return args
+    (tmp_path / f"{name}.cfg").write_text(config_text, encoding="utf-8")
+    return args + ["--config", str(tmp_path / f"{name}.cfg")]
+
+
+def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     arrays = {threads: subprocess.Popen(
         [sys.executable, "-c", ARRAYS_CHILD, str(tmp_path / "arrays" / threads)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+        env=_child_env(OPENBLAS_NUM_THREADS=threads))
         for threads in ("1", "2")}
     for name, args, config_text, csvs, jsons in CLI_GOLDEN_RUNS:
-        if config_text is not None:
-            (tmp_path / f"{name}.cfg").write_text(config_text, encoding="utf-8")
-            args = args + ["--config", str(tmp_path / f"{name}.cfg")]
+        args = _cli_args(tmp_path, name, args, config_text)
         children = {threads: subprocess.Popen(
             [sys.executable, "-m", "scream.cli", *args, "--out", str(tmp_path / name / threads)],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+            env=_child_env(OPENBLAS_NUM_THREADS=threads))
             for threads in ("1", "2")}
         for threads, child in children.items():
             _, err = child.communicate(timeout=120)
@@ -240,3 +262,82 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         one, two = (tmp_path / "arrays" / threads / f"{name}.bin" for threads in ("1", "2"))
         assert len(one.read_bytes()) == 8 * size, name
         assert one.read_bytes() == two.read_bytes(), f"{name} changes with the thread count"
+
+
+# Reads back which kernels it runs on (the OpenBLAS core name and numpy's AVX-512 flag), then
+# runs the golden CLI runs and ``scream verify --seed 0`` in this one process.
+KERNEL_CHILD = """
+import contextlib
+import ctypes
+import io
+import json
+import sys
+from pathlib import Path
+
+from numpy._core._multiarray_umath import __cpu_features__
+
+from scream.cli import main
+
+out, library, runs = Path(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
+corename = ctypes.CDLL(library).scipy_openblas_get_corename64_  # the copy numpy loaded
+corename.restype = ctypes.c_char_p
+probe = {"core": corename().decode(), "AVX512_SKX": __cpu_features__["AVX512_SKX"]}
+(out / "probe.json").write_text(json.dumps(probe), encoding="utf-8")
+for name, args in runs:
+    assert main(args + ["--out", str(out / name)]) == 0, name
+with contextlib.redirect_stdout(io.StringIO()) as printed:
+    assert main(["verify", "--seed", "0"]) == 0, "verify"
+(out / "verify.txt").write_text(printed.getvalue(), encoding="utf-8")
+"""
+
+SIMD_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"  # numpy's AVX2 and AVX-512 paths
+
+
+def _openblas_corename_library() -> str:
+    """numpy's bundled OpenBLAS, if it can report its core name; skips the test otherwise."""
+    libs = sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob(
+        "libscipy_openblas64_-*.so"))
+    if not libs:
+        pytest.skip("numpy.libs holds no libscipy_openblas64_ library")
+    try:
+        ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (OSError, AttributeError) as exc:
+        pytest.skip(f"cannot read the OpenBLAS core name: {exc}")
+    return str(libs[0])
+
+
+@pytest.mark.parametrize("variables, expected", [
+    ({"OPENBLAS_CORETYPE": "Haswell"}, ("core", "Haswell")),
+    ({"NPY_DISABLE_CPU_FEATURES": SIMD_BASELINE}, ("AVX512_SKX", False)),
+], ids=["openblas-haswell", "numpy-sse-baseline"])
+def test_cli_outputs_match_golden_on_other_kernels(tmp_path, variables, expected):
+    library = _openblas_corename_library()
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError as exc:
+        pytest.skip(f"numpy reports no CPU features: {exc}")
+    missing = [f for f in ("AVX2", "FMA3", *SIMD_BASELINE.split(), "AVX512_SKX")
+               if f not in __cpu_features__]
+    if missing:
+        pytest.skip(f"numpy knows no CPU feature named {missing}")
+    if "OPENBLAS_CORETYPE" in variables and not (__cpu_features__["AVX2"]
+                                                 and __cpu_features__["FMA3"]):
+        pytest.skip("this CPU cannot run OpenBLAS's Haswell kernel")
+    runs = [(name, _cli_args(tmp_path, name, args, config_text))
+            for name, args, config_text, _, _ in CLI_GOLDEN_RUNS]
+    out = tmp_path / "out"
+    out.mkdir()
+    child = subprocess.run(
+        [sys.executable, "-c", KERNEL_CHILD, str(out), library, json.dumps(runs)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(**variables),
+        timeout=120)
+    assert child.returncode == 0, child.stderr.decode()
+    key, value = expected
+    probe = json.loads((out / "probe.json").read_text(encoding="utf-8"))
+    assert probe[key] == value, f"{variables} did not take effect: {probe}"
+    for name, _, _, csvs, jsons in CLI_GOLDEN_RUNS:
+        _assert_matches_golden(out / name, name, csvs)
+        for filename in jsons:
+            _assert_json_matches_golden(out / name, name, filename)
+    expected_lines = (GOLDEN / "verify_seed0.txt").read_text(encoding="utf-8").splitlines()
+    assert (out / "verify.txt").read_text(encoding="utf-8").splitlines() == expected_lines

@@ -457,6 +457,6 @@ def test_trajectory_rows_columns(rng):
     rows = trajectory_rows(run)
     assert len(rows) == T
     assert all(list(row) == ["t", "decision_norm", "loss", "movement"] for row in rows)
-    assert [row["loss"] for row in rows] == list(run.incurred)
+    assert [row["loss"] for row in rows] == list(run.losses.window_losses(run.decisions))
     assert sum(row["movement"] for row in rows) == pytest.approx(
         float(np.linalg.norm(np.diff(run.decisions, axis=0), axis=1).sum()), rel=1e-12)

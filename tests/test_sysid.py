@@ -103,7 +103,7 @@ class TestIdentification:
                                    gen.sequence(3000), seed=5)
         da = np.linalg.norm(ident.A_hat - p.system.A, 2)
         db = np.linalg.norm(ident.B_hat - p.system.B, 2)
-        estimate = ident.as_system()
+        estimate = LinearSystem(ident.A_hat, ident.B_hat)
         for _ in range(100):
             x = rng.standard_normal(3)
             u = rng.standard_normal(2)
@@ -263,7 +263,7 @@ class TestPipeline:
         run = pipe.control_run
         da = np.linalg.norm(pipe.identified.A_hat - p.system.A, 2)
         db = np.linalg.norm(pipe.identified.B_hat - p.system.B, 2)
-        believed = pipe.identified.as_system()
+        believed = LinearSystem(pipe.identified.A_hat, pipe.identified.B_hat)
         recovered = np.array([run.states[t + 1] - believed.A @ run.states[t]
                               - believed.B @ run.actions[t] for t in range(run.T)])
         gaps = np.linalg.norm(recovered - run.disturbances, axis=1)
