@@ -140,7 +140,8 @@ def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> 
     direction = rng.standard_normal((n, dim))
     direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-300)
     radii = radius * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
-    return direction * radii
+    direction *= radii
+    return direction
 
 
 @dataclass

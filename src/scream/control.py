@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .csvio import column_rows
-from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, lag_table, simulate_dac,
-                  unary_truncated_gradient, unary_truncated_map)
+from .dac import (ClosedLoop, DacFeasibleSet, LipschitzConstants, _truncated_gradient, lag_table,
+                  simulate_dac, unary_truncated_map)
 from .lds import LinearSystem
 from .learners import MetaExpertLearner, ScreamConfig
 from .oco import ContractViolation, RegretReport, path_length
@@ -183,10 +183,11 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
         weights[t] = controller.weights
         lags = history[T - t: T - t + 2 * H + 1]
         x = states[t]
-        u = actions[t] = -K @ x + np.einsum("kux,kx->u", M, lags[:H])
+        offset = np.einsum("kux,kx->u", M, lags[:H])
+        u = actions[t] = -K @ x + offset
         values[t] = costs[t].value(x, u)
         if t >= H:
-            controller.step(unary_truncated_gradient(costs[t], loop, M, lags))
+            controller.step(_truncated_gradient(costs[t], loop, M, lags, offset))
         x_next = states[t + 1] = A @ x + B @ u + disturbances[t]
         history[T - 1 - t] = x_next - A_hat @ x - B_hat @ u
     return ControlRun(states, actions, disturbances, values, params, weights, list(costs),

@@ -284,11 +284,20 @@ def unary_truncated_gradient(cost, loop: ClosedLoop, M, lags) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     lags = np.asarray(lags, dtype=float)
+    return _truncated_gradient(cost, loop, M, lags, np.einsum("kuz,kz->u", M, lags[: M.shape[0]]))
+
+
+def _truncated_gradient(cost, loop: ClosedLoop, M: np.ndarray, lags: np.ndarray,
+                        offset: np.ndarray) -> np.ndarray:
+    """:func:`unary_truncated_gradient` of float arrays, given the DAC offset sum_k M[k] lags[k].
+
+    The control round has already computed that offset for its action.
+    """
     H = M.shape[0]
     table = _lag_table(lags, H)
     powers, powers_b = loop.flat_powers(H + 1)
     y = powers @ lags[: H + 1].ravel() + powers_b @ np.einsum("kuz,jkz->ju", M, table).ravel()
-    v = np.einsum("kuz,kz->u", M, lags[:H]) - loop.K @ y
+    v = offset - loop.K @ y
     g_y = np.asarray(cost.grad_x(y, v), dtype=float)
     g_v = np.asarray(cost.grad_u(y, v), dtype=float)
     back = ((g_y - loop.K.T @ g_v) @ powers_b).reshape(H + 1, -1)  # row j: (A_K^j B)^T (...)

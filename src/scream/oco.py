@@ -4,10 +4,11 @@ Memory enters the OCO guarantee only through the switching-cost weight
 ``lam``: dynamic policy regret splits into unary regret plus ``lam`` times the
 movement, so a round-t loss here is the unary square loss of the round-t
 decision.  A run's losses are a :class:`SquareLossStream`, held as arrays.
-Its round-t oracle (a :class:`SquareLoss`, revealed only after the decision
-is submitted) gives the analytic gradient; the stream evaluates every round's
-loss in one pass, and every algorithm in this package reports its performance
-through :func:`regret_metrics`, which prices the movement with ``lam``.
+Its round-t oracle (a :class:`SquareLoss`, built when asked, after the
+decision is submitted) gives the analytic gradient and counts it on the
+stream; the stream evaluates every round's loss in one pass, and every
+algorithm in this package reports its performance through
+:func:`regret_metrics`, which prices the movement with ``lam``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
     """Scale rows down to l2 norm <= bound (rows already inside are untouched)."""
     # np.linalg.norm(vectors, axis=-1, keepdims=True)'s own arithmetic, without its wrapper
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
-    scale = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
+    scale = bound / np.fmax(norms, bound)  # fmax skips a NaN norm: such a row keeps scale 1
     return vectors * scale
 
 
@@ -84,17 +85,35 @@ class DomainBall:
 class SquareLoss:
     """One round's square loss f(w) = (w.x - y)^2 / 2, revealed as a gradient oracle.
 
-    ``grad`` is its analytic gradient and counts its calls.  Loss values are
-    evaluated on whole runs by :meth:`SquareLossStream.window_losses`.
+    ``grad`` is its analytic gradient and counts its calls in ``grad_calls``.
+    A standalone oracle keeps its own count; a round oracle of a
+    :class:`SquareLossStream` counts into the stream's ``grad_calls[t]``.
+    Loss values are evaluated on whole runs by
+    :meth:`SquareLossStream.window_losses`.
     """
 
     def __init__(self, x, y: float):
         self.x = np.asarray(x, dtype=float)
         self.y = float(y)
-        self.grad_calls = 0
+        self._counts = np.zeros(1, dtype=np.int64)
+        self._t = 0
+
+    @classmethod
+    def _of_round(cls, stream: SquareLossStream, t: int) -> SquareLoss:
+        """Round t's oracle of ``stream``: views of its rows, counting into ``stream.grad_calls[t]``."""
+        loss = cls.__new__(cls)
+        loss.x = stream.X[t]  # raises IndexError past either end, which stops iteration
+        loss.y = stream.y[t]
+        loss._counts = stream.grad_calls
+        loss._t = t
+        return loss
+
+    @property
+    def grad_calls(self) -> int:
+        return int(self._counts[self._t])
 
     def grad(self, w) -> np.ndarray:
-        self.grad_calls += 1
+        self._counts[self._t] += 1
         g = (float(np.dot(w, self.x)) - self.y) * self.x
         if not np.isfinite(g).all():
             raise ContractViolation("gradient has non-finite entries")
@@ -104,9 +123,11 @@ class SquareLoss:
 class SquareLossStream(Sequence):
     """The square losses of a whole stream, held as arrays: row t of ``X`` and ``y`` is round t.
 
-    A sized sequence of round oracles: ``stream[t]`` is ``SquareLoss(X[t],
-    y[t])``, the gradient oracle of round t's loss.  It is built on first
-    access and then kept, so each round's ``grad_calls`` survives the run.
+    A sized sequence of round oracles: ``stream[t]`` is the gradient oracle
+    of round t's loss, a :class:`SquareLoss` on ``X[t]`` and ``y[t]`` built
+    afresh on each access.  The stream keeps no per-round object: every
+    round's gradient count lives in the ``(T,)`` integer array
+    ``grad_calls``, so any ``stream[t]`` reads (and adds to) round t's count.
     :meth:`window_losses` evaluates every round's loss at once.
     """
 
@@ -118,16 +139,13 @@ class SquareLossStream(Sequence):
                 f"need X of shape (T, d) and y of shape (T,), got {X.shape} and {y.shape}")
         self.X = X
         self.y = y
-        self._oracles: list[SquareLoss | None] = [None] * X.shape[0]
+        self.grad_calls = np.zeros(X.shape[0], dtype=np.int64)
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
     def __getitem__(self, t: int) -> SquareLoss:
-        oracle = self._oracles[t]
-        if oracle is None:
-            oracle = self._oracles[t] = SquareLoss(self.X[t], self.y[t])
-        return oracle
+        return SquareLoss._of_round(self, t)
 
     def window_losses(self, decisions) -> np.ndarray:
         """f_t(w_t) = (w_t.x_t - y_t)^2 / 2 for every round t of a (T, d) decision array, in one pass."""
@@ -142,7 +160,9 @@ def path_length(sequence) -> float:
     seq = np.asarray(sequence, dtype=float)
     if seq.shape[0] < 2:
         return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(seq, axis=0), axis=1)))
+    moves = np.diff(seq, axis=0)
+    moves *= moves  # np.linalg.norm(moves, axis=1)'s own arithmetic, without its two copies
+    return float(np.sum(np.sqrt(np.add.reduce(moves, axis=1))))
 
 
 @dataclass

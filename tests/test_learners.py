@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ class TestScream:
         config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.7)
         run_online(Scream(config, DomainBall(d, 2.0)), losses)
         assert all(loss.grad_calls == 1 for loss in losses)
+
+    def test_a_run_keeps_no_per_round_objects(self, rng):
+        # With the stream and the run alive, traced memory holds the stream's arrays, the
+        # decisions and one 8-byte gradient count per round, plus a 64 KiB slack for the
+        # learner's own state; nothing grows with T beyond those arrays.
+        T, d = 2000, 3
+        config = ScreamConfig(T=T, grad_bound=2.0, diameter=2.0, lam=0.7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            X, y = rng.standard_normal((T, d)), rng.standard_normal(T)
+            stream = SquareLossStream(X, y)
+            run = run_online(Scream(config, DomainBall(d, 2.0)), stream)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= X.nbytes + y.nbytes + run.decisions.nbytes + 8 * T + 64 * 1024
+        assert run.losses is stream and list(stream.grad_calls) == [1] * T
 
     def test_weights_stay_distribution_and_experts_feasible(self, rng):
         T, d = 60, 3

@@ -164,8 +164,14 @@ class TestSquareLossStream:
                 g = oracle.grad(w)
                 assert np.array_equal(g, single.grad(w)) and np.array_equal(g, ref_grad(w))
             assert oracle.grad_calls == single.grad_calls == 5
-        assert stream[3] is stream[3]
+        # the counts live on the stream: a fresh oracle of a round reads that round's count
+        assert stream[3].grad_calls == stream[-T + 3].grad_calls == stream.grad_calls[3] == 5
+        assert len(list(stream)) == T
         assert [loss.grad_calls for loss in stream] == [5] * T
+        twice = SquareLossStream(X, y)
+        twice[0].grad(np.zeros(d))
+        twice[0].grad(np.zeros(d))
+        assert twice[0].grad_calls == 2 and list(twice.grad_calls) == [2] + [0] * (T - 1)
 
     @pytest.mark.parametrize("m", [0])
     def test_vectorized_window_losses_match_oracle_loop(self, rng, m):
