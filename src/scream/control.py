@@ -178,13 +178,14 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
     params = np.empty((T, H, d_u, d_x))
     weights = np.empty((T, controller.n_experts))
     states[0] = x0
+    neg_K = -K  # -K @ x parses as (-K) @ x
     for t in range(T):
         M = params[t] = controller.decide()
         weights[t] = controller.weights
         lags = history[T - t: T - t + 2 * H + 1]
         x = states[t]
         offset = np.einsum("kux,kx->u", M, lags[:H])
-        u = actions[t] = -K @ x + offset
+        u = actions[t] = neg_K @ x + offset
         values[t] = costs[t].value(x, u)
         if t >= H:
             controller.step(_truncated_gradient(costs[t], loop, M, lags, offset))

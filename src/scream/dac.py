@@ -118,12 +118,12 @@ class DacFeasibleSet:
         """
         if min(self.d_u, self.d_x) > 2:
             return None
-        W = M if self.d_u <= self.d_x else np.swapaxes(M, -1, -2)
+        W = M if self.d_u <= self.d_x else M.swapaxes(-1, -2)
         if W.shape[-2] == 1:
             s1_sq, G, half, r = np.einsum("...ij,...ij->...", W, W), None, None, None
         else:
             # a product with a transposed view takes numpy's much slower matmul path
-            G = W @ np.ascontiguousarray(np.swapaxes(W, -1, -2))
+            G = W @ np.ascontiguousarray(W.swapaxes(-1, -2))
             a, b, c = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
             half = 0.5 * (a - c)
             r = np.hypot(half, b)

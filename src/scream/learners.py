@@ -76,18 +76,27 @@ def hedge_step(weights, losses, rate: float) -> np.ndarray:
     scales (the movement-regularized surrogates can be huge) cannot underflow
     the whole weight vector: the shifted factors lie in (0, 1] and the minimal
     loss keeps factor one.  Equal losses leave the weights bit-for-bit
-    unchanged, and zero weights stay exactly zero.
+    unchanged, and zero weights stay exactly zero.  A rate that is not finite
+    and positive, or a loss that is not finite, raises :class:`ContractViolation`.
     """
-    if not rate > 0:
-        raise ContractViolation("step size must be positive")
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ContractViolation("step size must be positive and finite")
     p = np.asarray(weights, dtype=float)
     ell = as_vector(losses, len(p))
-    factors = np.exp(-rate * (ell - ell.min()))
-    if (factors == 1.0).all():
+    return _hedge(p, ell, rate, np.minimum.reduce(ell))
+
+
+def _hedge(p: np.ndarray, ell: np.ndarray, rate: float, lo) -> np.ndarray:
+    """:func:`hedge_step` on checked finite losses ``ell`` whose smallest entry is ``lo``.
+
+    Returns ``p`` itself when every factor is one (every factor is at most one).
+    """
+    factors = np.exp(-rate * (ell - lo))
+    if np.minimum.reduce(factors) == 1.0:
         return p
     w = p * factors
-    total = w.sum()
-    if not math.isfinite(total) or total <= 0:
+    total = np.add.reduce(w)
+    if not 0 < total < math.inf:  # a NaN fails too
         raise ContractViolation("hedge update produced a degenerate weight vector")
     return w / total
 
@@ -96,9 +105,15 @@ def surrogate_losses(experts: np.ndarray, movement: np.ndarray,
                      gradient: np.ndarray, lam: float) -> np.ndarray:
     """Per-expert meta loss <g, w_i> + lam * ||w_i - w_i_prev||_2 (one shared gradient).
 
-    ``movement`` holds each expert's last step ||w_i - w_i_prev||_2.
+    ``movement`` holds each expert's last step ||w_i - w_i_prev||_2.  At
+    ``lam`` = 0 the movement is not read: adding 0 * movement could only flip
+    the sign of a zero loss.
     """
-    return experts @ np.asarray(gradient, dtype=float) + lam * movement
+    # ndarray.dot makes the BLAS gemv call of @, with its bits, without matmul's slower dispatch
+    linear = experts.dot(np.asarray(gradient, dtype=float))
+    if lam == 0:
+        return linear
+    return linear + lam * movement
 
 
 @dataclass(frozen=True)
@@ -137,10 +152,12 @@ class MetaExpertLearner:
     expert's last step, starts at zero, so the movement penalty of the first
     round is zero.
 
-    ``etas`` is the step-size pool, one positive step size per expert (a
-    non-empty 1-D array), and ``prior`` the initial meta weights, one per
+    ``etas`` is the step-size pool, one finite positive step size per expert
+    (a non-empty 1-D array), and ``prior`` the initial meta weights, one per
     expert, finite, non-negative and summing to one within 1e-12;
-    :meth:`ScreamConfig.tuning` derives all four tuning arguments.
+    ``meta_rate`` must be finite and positive and ``surrogate_lam`` finite
+    and non-negative.  :meth:`ScreamConfig.tuning` derives all four tuning
+    arguments; a bad one raises :class:`ContractViolation` here.
 
     :meth:`observe` takes the round's gradient at the array :meth:`decide`
     last returned, so a round of :func:`run_online` makes one decision; after
@@ -151,14 +168,20 @@ class MetaExpertLearner:
                  surrogate_lam: float, shape: tuple[int, ...],
                  project: Callable[[np.ndarray], np.ndarray]):
         etas = np.array(etas, dtype=float)
-        if etas.ndim != 1 or not etas.size or not np.all(etas > 0):
-            raise ContractViolation("pool must be a non-empty 1-D array of positive step sizes")
+        if etas.ndim != 1 or not etas.size or not np.all((etas > 0) & np.isfinite(etas)):
+            raise ContractViolation("pool must be a non-empty 1-D array of finite positive step sizes")
         prior = np.asarray(prior, dtype=float)
         if prior.shape != etas.shape:
             raise ContractViolation("prior length must match the pool size")
         if not check_simplex(prior):
             raise ContractViolation("prior must be finite, non-negative and sum to one within 1e-12")
+        meta_rate, surrogate_lam = float(meta_rate), float(surrogate_lam)
+        if not (meta_rate > 0 and math.isfinite(meta_rate)):
+            raise ContractViolation("meta rate must be finite and positive")
+        if not (surrogate_lam >= 0 and math.isfinite(surrogate_lam)):
+            raise ContractViolation("surrogate lam must be finite and non-negative")
         self.etas = etas
+        self._eta_column = etas[:, None]
         self.shape = tuple(shape)
         self.project = project
         self.flat = np.zeros((len(etas), math.prod(self.shape)))
@@ -166,8 +189,8 @@ class MetaExpertLearner:
         self._decision = None  # what decide() last returned, until the next step
         self.movement = np.zeros(len(etas))
         self.weights = prior.copy()
-        self.meta_rate = float(meta_rate)
-        self.surrogate_lam = float(surrogate_lam)
+        self.meta_rate = meta_rate
+        self.surrogate_lam = surrogate_lam
         self.rounds = 0
         # read by check_movement_bounds
         self.meta_movement_slack = -math.inf
@@ -184,7 +207,7 @@ class MetaExpertLearner:
         and ``flat`` change only through :meth:`step`: :meth:`observe` takes
         the gradient at the kept array as it stands.
         """
-        decision = self._decision = (self.weights @ self.flat).reshape(self.shape)
+        decision = self._decision = self.weights.dot(self.flat).reshape(self.shape)  # see surrogate_losses
         return decision
 
     def step(self, gradient) -> None:
@@ -193,17 +216,23 @@ class MetaExpertLearner:
         self._decision = None
 
         ell = surrogate_losses(self.flat, self.movement, g, self.surrogate_lam)
-        new_weights = hedge_step(self.weights, ell, self.meta_rate)
-        moved = float(np.abs(new_weights - self.weights).sum())
+        # one min/max pass: a NaN reaches both, an infinity one of them
+        lo, hi = np.minimum.reduce(ell), np.maximum.reduce(ell)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ContractViolation("vector has non-finite entries")
+        weights = self.weights
+        new_weights = _hedge(weights, ell, self.meta_rate, lo)
+        moved = 0.0 if new_weights is weights else float(np.add.reduce(np.abs(new_weights - weights)))
+        # max |ell| = max(hi, -lo)
         self.meta_movement_slack = max(self.meta_movement_slack,
-                                       moved - self.meta_rate * float(np.abs(ell).max()))
+                                       moved - self.meta_rate * max(hi, -lo))
         self.weights = new_weights
 
-        stepped = (self.flat - self.etas[:, None] * g[None, :]).reshape(self._experts_shape)
+        stepped = (self.flat - self._eta_column * g).reshape(self._experts_shape)
         stepped = self.project(stepped).reshape(self.flat.shape)
         moves = stepped - self.flat
-        # np.linalg.norm(moves, axis=1)'s own arithmetic, without its wrapper
-        self.movement = np.sqrt(np.add.reduce(moves * moves, axis=1))
+        moves *= moves  # np.linalg.norm(moves, axis=1)'s own arithmetic, without its wrapper
+        self.movement = np.sqrt(np.add.reduce(moves, axis=1))
         self.expert_switching += self.movement
         self.flat = stepped
         self.rounds += 1
@@ -249,19 +278,24 @@ def ogd_default_step_size(T: int, diameter: float, grad_bound: float) -> float:
 
 
 class OgdMemory:
-    """Projected online gradient descent on the unary loss with a fixed step size, from the origin."""
+    """Projected online gradient descent on the unary loss with a fixed step size, from the origin.
+
+    A step size that is not finite and positive raises :class:`ContractViolation`.
+    """
 
     def __init__(self, step_size: float, domain: DomainBall):
-        if step_size <= 0:
-            raise ContractViolation("step size must be positive")
-        self.step_size = float(step_size)
+        step_size = float(step_size)
+        if not (step_size > 0 and math.isfinite(step_size)):
+            raise ContractViolation("step size must be positive and finite")
+        self.step_size = step_size
         self.domain = domain
         self.point = np.zeros(domain.dim)
         self.switching = 0.0
         self.rounds = 0
 
     def decide(self) -> np.ndarray:
-        return self.point.copy()
+        """The current point itself: each round replaces it, and the caller must not write into it."""
+        return self.point
 
     def observe(self, loss: SquareLoss) -> None:
         gradient = loss.grad(self.point)
@@ -298,9 +332,10 @@ class OcoRun:
 def run_online(learner, losses: SquareLossStream) -> OcoRun:
     """Drive the online protocol: decide, then reveal the round's loss oracle."""
     decisions = np.empty(losses.X.shape)
+    decide, observe = learner.decide, learner.observe
     for t in range(len(losses)):
-        decisions[t] = learner.decide()
-        learner.observe(losses[t])
+        decisions[t] = decide()
+        observe(losses[t])
     return OcoRun(decisions, losses, learner)
 
 

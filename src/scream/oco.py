@@ -36,11 +36,13 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def clip_to_ball(vectors: np.ndarray, bound: float) -> np.ndarray:
-    """Scale rows down to l2 norm <= bound (rows already inside are untouched)."""
+    """Scale the rows of a float array down to l2 norm <= bound (rows already inside are untouched)."""
+    norms = np.add.reduce(vectors * vectors, axis=-1, keepdims=True)
     # np.linalg.norm(vectors, axis=-1, keepdims=True)'s own arithmetic, without its wrapper
-    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1, keepdims=True))
-    scale = bound / np.fmax(norms, bound)  # fmax skips a NaN norm: such a row keeps scale 1
-    return vectors * scale
+    np.sqrt(norms, out=norms)
+    np.fmax(norms, bound, out=norms)  # fmax skips a NaN norm: such a row keeps scale 1
+    np.divide(bound, norms, out=norms)
+    return vectors * norms
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class SquareLoss:
 
     def grad(self, w) -> np.ndarray:
         self._counts[self._t] += 1
-        g = (float(np.dot(w, self.x)) - self.y) * self.x
-        if not np.isfinite(g).all():
+        g = (float(w.dot(self.x)) - self.y) * self.x
+        if not np.logical_and.reduce(np.isfinite(g)):
             raise ContractViolation("gradient has non-finite entries")
         return g
 

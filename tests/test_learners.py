@@ -1,13 +1,15 @@
 import copy
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from scream import verify
+from scream.dac import DacFeasibleSet
 from scream.learners import (Ader, MetaExpertLearner, OgdMemory, Scream, ScreamConfig,
-                             ader_meta_rate, build_step_size_pool, check_simplex,
+                             ader_meta_rate, build_step_size_pool, check_simplex, hedge_step,
                              nonuniform_prior, ogd_default_step_size, pool_size, run_online,
                              scream_meta_rate, surrogate_losses, trajectory_rows)
 from scream.oco import ContractViolation, DomainBall, SquareLoss, SquareLossStream
@@ -479,3 +481,164 @@ def test_trajectory_rows_columns(rng):
     assert [row["loss"] for row in rows] == list(run.losses.window_losses(run.decisions))
     assert sum(row["movement"] for row in rows) == pytest.approx(
         float(np.linalg.norm(np.diff(run.decisions, axis=0), axis=1).sum()), rel=1e-12)
+
+
+class ReferenceRound:
+    """The engine round written the plain way, run beside a learner from its initial state.
+
+    It keeps its own weights, experts, movement, switching and slack, and
+    computes them with ``.min()``, ``(factors == 1.0).all()``, ``.sum()``,
+    ``np.abs(ell).max()``, ``np.linalg.norm`` and ``lam * movement`` always
+    added, and its gradient with ``np.dot``.
+    """
+
+    def __init__(self, learner: MetaExpertLearner):
+        self.etas, self.rate, self.lam = learner.etas, learner.meta_rate, learner.surrogate_lam
+        self.project, self.shape = learner.project, learner.shape
+        self.weights = learner.weights.copy()
+        self.flat = learner.flat.copy()
+        self.movement = learner.movement.copy()
+        self.switching = learner.expert_switching.copy()
+        self.slack = learner.meta_movement_slack
+
+    def decide(self) -> np.ndarray:
+        return (self.weights @ self.flat).reshape(self.shape)
+
+    def step(self, gradient) -> None:
+        g = np.asarray(gradient, dtype=float).reshape(-1)
+        ell = self.flat @ g + self.lam * self.movement
+        assert np.isfinite(ell).all()
+        factors = np.exp(-self.rate * (ell - ell.min()))
+        new_weights = self.weights
+        if not (factors == 1.0).all():
+            w = self.weights * factors
+            new_weights = w / w.sum()
+        moved = float(np.abs(new_weights - self.weights).sum())
+        self.slack = max(self.slack, moved - self.rate * float(np.abs(ell).max()))
+        self.weights = new_weights
+        stepped = (self.flat - self.etas[:, None] * g[None, :]).reshape((len(self.etas),) + self.shape)
+        stepped = self.project(stepped).reshape(self.flat.shape)
+        self.movement = np.linalg.norm(stepped - self.flat, axis=1)
+        self.switching = self.switching + self.movement
+        self.flat = stepped
+
+    def assert_same_bits(self, learner: MetaExpertLearner) -> None:
+        assert learner.weights.tobytes() == self.weights.tobytes()
+        assert learner.flat.tobytes() == self.flat.tobytes()
+        assert learner.movement.tobytes() == self.movement.tobytes()
+        assert learner.expert_switching.tobytes() == self.switching.tobytes()
+        assert np.float64(learner.meta_movement_slack).tobytes() == np.float64(self.slack).tobytes()
+
+
+def reference_grad(loss: SquareLoss, w: np.ndarray) -> np.ndarray:
+    return (float(np.dot(w, loss.x)) - loss.y) * loss.x
+
+
+class TestLeanRoundBits:
+    """The engine's round equals :class:`ReferenceRound` to the last bit, after every round."""
+
+    T, d = 2000, 5
+
+    def stream(self, rng) -> SquareLossStream:
+        xs = rng.standard_normal((self.T, self.d))
+        ys = rng.standard_normal(self.T)
+        xs[rng.random(self.T) < 0.05] = 0.0   # zero gradients: signed-zero surrogate losses
+        return SquareLossStream(xs, ys)
+
+    @pytest.mark.parametrize("kind", ["scream", "ader"])
+    def test_oco_engine(self, rng, kind):
+        config = ScreamConfig(T=self.T, grad_bound=2.0, diameter=2.0, lam=0.5)
+        learner = (Scream if kind == "scream" else Ader)(config, DomainBall(self.d, 2.0))
+        assert (learner.surrogate_lam == 0.0) == (kind == "ader")
+        ref = ReferenceRound(learner)
+        prior = learner.weights
+        for t, loss in enumerate(self.stream(rng)):
+            decision = learner.decide()
+            assert decision.tobytes() == ref.decide().tobytes()
+            learner.observe(loss)
+            ref.step(reference_grad(loss, decision))
+            ref.assert_same_bits(learner)
+            if t == 0:   # all experts at the origin: equal losses keep the prior object itself
+                assert learner.weights is prior
+        assert not np.array_equal(learner.weights, prior)
+
+    def test_ogd(self, rng):
+        domain = DomainBall(self.d, 2.0)
+        eta = ogd_default_step_size(self.T, 2.0, 2.0)
+        learner = OgdMemory(eta, domain)
+        point, switching = np.zeros(self.d), 0.0
+        for loss in self.stream(rng):
+            assert learner.decide().tobytes() == point.tobytes()
+            learner.observe(loss)
+            new_point = domain.project(point - eta * reference_grad(loss, point))
+            switching += float(np.linalg.norm(new_point - point))
+            point = new_point
+            assert learner.point.tobytes() == point.tobytes()
+            assert np.float64(learner.switching).tobytes() == np.float64(switching).tobytes()
+
+    def test_control_shaped_engine(self, rng):
+        H, d_u, d_x, T = 5, 2, 3, 1000
+        feasible = DacFeasibleSet.from_certificate(1.5, 0.3, 1.2, H, d_u, d_x)
+        pool = build_step_size_pool(T, 2.0, 1.0, 0.4)
+        learner = MetaExpertLearner(pool, nonuniform_prior(len(pool)), scream_meta_rate(T, 2.0, 1.0, 0.4),
+                                    0.4, (H, d_u, d_x), feasible.project)
+        ref = ReferenceRound(learner)
+        for _ in range(T):
+            assert learner.decide().tobytes() == ref.decide().tobytes()
+            g = rng.standard_normal((H, d_u, d_x)) * rng.uniform(0.0, 3.0)
+            learner.step(g)
+            ref.step(g)
+            ref.assert_same_bits(learner)
+
+
+class TestTuningChecks:
+    """The learners reject a bad tuning when they are built, not at their first round."""
+
+    def build(self, etas=(0.1, 0.2), meta_rate=0.5, lam=0.5):
+        ball = DomainBall(3, 2.0)
+        return MetaExpertLearner(list(etas), [0.5, 0.5], meta_rate, lam, (3,), ball.project_rows)
+
+    @pytest.mark.parametrize("meta_rate", [-1.0, 0.0, np.nan, np.inf])
+    def test_meta_rate(self, meta_rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="meta rate"):
+                self.build(meta_rate=meta_rate)
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_surrogate_lam(self, lam):
+        with pytest.raises(ContractViolation, match="surrogate lam"):
+            self.build(lam=lam)
+
+    def test_an_infinite_step_size(self):
+        with pytest.raises(ContractViolation, match="pool"):
+            self.build(etas=(0.1, np.inf))
+
+    @pytest.mark.parametrize("step_size", [-1.0, 0.0, np.nan, np.inf])
+    def test_ogd_step_size(self, step_size):
+        with pytest.raises(ContractViolation, match="step size"):
+            OgdMemory(step_size, DomainBall(3, 2.0))
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_hedge_step_rate(self, rate):
+        with pytest.raises(ContractViolation, match="step size"):
+            hedge_step(np.full(3, 1.0 / 3), np.array([0.0, 1.0, 2.0]), rate)
+
+
+class TestNonFiniteSurrogate:
+    """A NaN or infinite surrogate loss raises ContractViolation from step, with no warning."""
+
+    @pytest.mark.parametrize("entry, loss", [(np.nan, "nan"), (-np.inf, "+inf"), (np.inf, "-inf")])
+    def test_raises_silently(self, entry, loss):
+        learner = Scream(ScreamConfig(T=50, grad_bound=2.0, diameter=2.0, lam=0.7), DomainBall(3, 2.0))
+        learner.step(np.array([1.0, 0.0, 0.0]))   # every expert now sits at a negative first coordinate
+        assert np.all(learner.flat[:, 0] < 0) and np.all(learner.flat[:, 1:] == 0)
+        weights, flat = learner.weights.copy(), learner.flat.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ell = surrogate_losses(learner.flat, learner.movement, np.array([entry, 0.0, 0.0]), 0.7)
+            assert np.all(np.isnan(ell)) if loss == "nan" else np.all(ell == float(loss))
+            with pytest.raises(ContractViolation, match="vector has non-finite entries"):
+                learner.step(np.array([entry, 0.0, 0.0]))
+        assert np.array_equal(learner.weights, weights) and np.array_equal(learner.flat, flat)
+        assert learner.rounds == 1
