@@ -105,8 +105,17 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ContractViolation(f"{key} must be finite and positive, got {value}")
+        try:
+            G = self.grad_bound
+        except OverflowError:  # Gamma^2 past the float range; one that underflows gives G = 0
+            G = math.inf
+        if not (math.isfinite(G) and G > 0):
+            raise ContractViolation(f"G = D * Gamma^2 must be finite and positive, got {G} from "
+                                    f"D = {self.diameter} and Gamma = {self.feature_radius}")
         if not all(math.isfinite(alpha) and alpha >= 0 for alpha in self.alphas):
             raise ContractViolation(f"alphas must be finite and non-negative, got {self.alphas}")
+        if not all(math.isfinite(alpha * G) for alpha in self.alphas):
+            raise ContractViolation(f"lam = alpha * G must be finite, got alphas {self.alphas}, G = {G}")
         if not (math.isfinite(self.noise_low) and math.isfinite(self.noise_high)
                 and self.noise_low <= self.noise_high):
             raise ContractViolation("noise bounds must be finite with noise_low <= noise_high, "
@@ -285,6 +294,7 @@ def write_failures(failures, outdir: Path) -> None:
         (outdir / "failures.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge or infinite metrics: an inf or NaN statistic
 def summarize(rows) -> list[dict]:
     """Mean and standard deviation over seeds for each (scenario, algorithm, alpha) group."""
     groups: dict[tuple, list[ResultRow]] = {}

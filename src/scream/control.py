@@ -191,8 +191,7 @@ def run_scream_control(loop: ClosedLoop, plant: LinearSystem, disturbances, cost
             controller.step(_truncated_gradient(costs[t], loop, M, lags, offset))
         x_next = states[t + 1] = A @ x + B @ u + disturbances[t]
         history[T - 1 - t] = x_next - A_hat @ x - B_hat @ u
-    return ControlRun(states, actions, disturbances, values, params, weights, list(costs),
-                      controller)
+    return ControlRun(states, actions, disturbances, values, params, weights, costs, controller)
 
 
 def dynamic_policy_regret_control(run: ControlRun, plant: LinearSystem, comparator_params,

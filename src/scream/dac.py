@@ -80,9 +80,10 @@ class DacFeasibleSet:
 
     def __post_init__(self):
         caps = np.asarray(self.caps, dtype=float)
-        if caps.ndim != 1 or caps.size < 1 or np.any(caps <= 0):
-            raise ContractViolation("caps must be a vector of positive reals")
+        if caps.ndim != 1 or caps.size < 1 or not (np.isfinite(caps).all() and (caps > 0).all()):
+            raise ContractViolation("caps must be a vector of finite positive reals")
         object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "_closed_form_limit", np.minimum(caps, 2.0 ** 230) ** 2 * 2.0 ** 40)
 
     @classmethod
     def from_certificate(cls, kappa: float, gamma: float, kappa_B: float,
@@ -114,7 +115,8 @@ class DacFeasibleSet:
         matrix G = W W^T = [[a, b], [b, c]] gives half = (a - c) / 2,
         r = hypot(half, b) and s1_sq = (a + c) / 2 + r.  Returns None where the
         SVD must serve: for k >= 3, and when some s1_sq is not finite (a
-        non-finite block, or one whose square overflows).
+        non-finite block, or one whose square overflows) or passes (2^20 cap)^2
+        or 2^500, past which rounding swamps the k = 2 factor cap / s1 or a c overflows.
         """
         if min(self.d_u, self.d_x) > 2:
             return None
@@ -128,7 +130,7 @@ class DacFeasibleSet:
             half = 0.5 * (a - c)
             r = np.hypot(half, b)
             s1_sq = 0.5 * (a + c) + r
-        if not np.isfinite(s1_sq).all():
+        if not (s1_sq <= self._closed_form_limit).all():  # NaN fails too
             return None
         return W, s1_sq, G, half, r
 
@@ -298,8 +300,7 @@ def _truncated_gradient(cost, loop: ClosedLoop, M: np.ndarray, lags: np.ndarray,
     powers, powers_b = loop.flat_powers(H + 1)
     y = powers @ lags[: H + 1].ravel() + powers_b @ np.einsum("kuz,jkz->ju", M, table).ravel()
     v = offset - loop.K @ y
-    g_y = np.asarray(cost.grad_x(y, v), dtype=float)
-    g_v = np.asarray(cost.grad_u(y, v), dtype=float)
+    g_y, g_v = cost.grad(y, v)
     back = ((g_y - loop.K.T @ g_v) @ powers_b).reshape(H + 1, -1)  # row j: (A_K^j B)^T (...)
     return np.einsum("ju,jkz->kuz", back, table) + g_v[:, None] * lags[:H, None, :]
 
@@ -366,7 +367,7 @@ def lipschitz_constants(kappa: float, gamma: float, kappa_B: float, w_bound: flo
 
 
 class QuadraticTrackingCost:
-    """c(x, u) = ||x - target||^2 + control_weight * ||u||^2, with analytic gradients."""
+    """c(x, u) = ||x - target||^2 + control_weight * ||u||^2; ``grad`` gives (grad_x c, grad_u c)."""
 
     def __init__(self, target, control_weight: float = 0.1):
         self.target = np.asarray(target, dtype=float)
@@ -380,12 +381,10 @@ class QuadraticTrackingCost:
         u = np.asarray(u, dtype=float)
         return float(dx @ dx + self.control_weight * (u @ u))
 
-    def grad_x(self, x, u) -> np.ndarray:
+    def grad(self, x, u) -> tuple[np.ndarray, np.ndarray]:
         self.grad_calls += 1
-        return 2.0 * (np.asarray(x, dtype=float) - self.target)
-
-    def grad_u(self, x, u) -> np.ndarray:
-        return 2.0 * self.control_weight * np.asarray(u, dtype=float)
+        return (2.0 * (np.asarray(x, dtype=float) - self.target),
+                2.0 * self.control_weight * np.asarray(u, dtype=float))
 
 
 def tracking_grad_coeff(state_bound: float, target_bound: float, control_weight: float = 0.1) -> float:

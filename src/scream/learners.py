@@ -77,13 +77,19 @@ def hedge_step(weights, losses, rate: float) -> np.ndarray:
     the whole weight vector: the shifted factors lie in (0, 1] and the minimal
     loss keeps factor one.  Equal losses leave the weights bit-for-bit
     unchanged, and zero weights stay exactly zero.  A rate that is not finite
-    and positive, or a loss that is not finite, raises :class:`ContractViolation`.
+    and positive, or a weight or loss that is not finite, raises :class:`ContractViolation`.
+    A loss spread past the float range is halved and the rate doubled; an
+    exponent that overflows gives factor 0, without a warning.
     """
     if not (rate > 0 and math.isfinite(rate)):
         raise ContractViolation("step size must be positive and finite")
-    p = np.asarray(weights, dtype=float)
+    p = as_vector(weights)
     ell = as_vector(losses, len(p))
-    return _hedge(p, ell, rate, np.minimum.reduce(ell))
+    lo = np.minimum.reduce(ell)
+    with np.errstate(over="ignore"):  # the engine's spreads and exponents never overflow
+        if np.maximum.reduce(ell) - lo == math.inf:
+            ell, lo, rate = 0.5 * ell, 0.5 * lo, min(2.0 * rate, np.finfo(float).max)
+        return _hedge(p, ell, rate, lo)
 
 
 def _hedge(p: np.ndarray, ell: np.ndarray, rate: float, lo) -> np.ndarray:

@@ -85,30 +85,19 @@ class DomainBall:
 
 
 class SquareLoss:
-    """One round's square loss f(w) = (w.x - y)^2 / 2, revealed as a gradient oracle.
+    """Round t of a stream, f(w) = (w.x_t - y_t)^2 / 2, as a gradient oracle on views of row t.
 
-    ``grad`` is its analytic gradient and counts its calls in ``grad_calls``.
-    A standalone oracle keeps its own count; a round oracle of a
-    :class:`SquareLossStream` counts into the stream's ``grad_calls[t]``.
-    Loss values are evaluated on whole runs by
-    :meth:`SquareLossStream.window_losses`.
+    ``grad`` is its analytic gradient and counts its calls into
+    ``stream.grad_calls[t]``, which ``grad_calls`` reads.  A one-off oracle is
+    ``SquareLossStream([x], [y])[0]``.  Loss values are evaluated on whole
+    runs by :meth:`SquareLossStream.window_losses`.
     """
 
-    def __init__(self, x, y: float):
-        self.x = np.asarray(x, dtype=float)
-        self.y = float(y)
-        self._counts = np.zeros(1, dtype=np.int64)
-        self._t = 0
-
-    @classmethod
-    def _of_round(cls, stream: SquareLossStream, t: int) -> SquareLoss:
-        """Round t's oracle of ``stream``: views of its rows, counting into ``stream.grad_calls[t]``."""
-        loss = cls.__new__(cls)
-        loss.x = stream.X[t]  # raises IndexError past either end, which stops iteration
-        loss.y = stream.y[t]
-        loss._counts = stream.grad_calls
-        loss._t = t
-        return loss
+    def __init__(self, stream: SquareLossStream, t: int):
+        self.x = stream.X[t]  # raises IndexError past either end, which stops iteration
+        self.y = stream.y[t]
+        self._counts = stream.grad_calls
+        self._t = t
 
     @property
     def grad_calls(self) -> int:
@@ -147,13 +136,13 @@ class SquareLossStream(Sequence):
         return self.X.shape[0]
 
     def __getitem__(self, t: int) -> SquareLoss:
-        return SquareLoss._of_round(self, t)
+        return SquareLoss(self, t)
 
     def window_losses(self, decisions) -> np.ndarray:
-        """f_t(w_t) = (w_t.x_t - y_t)^2 / 2 for every round t of a (T, d) decision array, in one pass."""
+        """f_t(w_t) = (w_t.x_t - y_t)^2 / 2 for every round t of a (T, d) array, in one pass."""
         w = np.asarray(decisions, dtype=float)
         if w.shape != self.X.shape:
-            raise ContractViolation(f"expected decisions of shape {self.X.shape}, got {w.shape}")
+            raise ContractViolation(f"expected an array of shape {self.X.shape}, got {w.shape}")
         return 0.5 * (np.einsum("td,td->t", w, self.X) - self.y) ** 2
 
 
@@ -191,17 +180,13 @@ def regret_metrics(decisions, comparators, losses: SquareLossStream, lam: float)
 
     ``decisions`` and ``comparators`` are (T, d) arrays; ``losses`` the run's
     stream.  The cumulative and comparator losses are one
-    :meth:`SquareLossStream.window_losses` pass each.
+    :meth:`SquareLossStream.window_losses` pass each, which checks each shape.
     """
-    w = np.asarray(decisions, dtype=float)
-    v = np.asarray(comparators, dtype=float)
-    if w.shape != v.shape:
-        raise ContractViolation(f"decision/comparator shape mismatch: {w.shape} vs {v.shape}")
-    cumulative = float(np.sum(losses.window_losses(w)))
-    comparator_cum = float(np.sum(losses.window_losses(v)))
+    cumulative = float(np.sum(losses.window_losses(decisions)))
+    comparator_cum = float(np.sum(losses.window_losses(comparators)))
     return RegretReport(
         cumulative_loss=cumulative,
-        switching_cost=lam * path_length(w),
+        switching_cost=lam * path_length(decisions),
         dynamic_policy_regret=cumulative - comparator_cum,
-        path_length=path_length(v),
+        path_length=path_length(comparators),
     )

@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scream import verify
@@ -175,6 +176,10 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     # without disturbances the state bound is 0 and no tuning exists
     (["control-bench"], "disturbance_amplitude = 0\n",
      "disturbance_amplitude must be finite and positive, got 0.0"),
+    # a G = D * Gamma^2 or a lam = alpha * G past the float range runs no cell
+    (["oco-bench"], "feature_radius = 1e160\n", "G = D * Gamma^2 must be finite and positive"),
+    (["oco-bench"], "feature_radius = 1e-170\n", "G = D * Gamma^2 must be finite and positive"),
+    (["oco-bench"], "alphas = 1e308\n", "lam = alpha * G must be finite"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):
@@ -369,3 +374,101 @@ def test_console_script_registered():
         return
     installed = dist.entry_points.select(group="console_scripts", name="scream")
     assert [ep.value for ep in installed] == ["scream.cli:main"]
+
+
+# ---------------------------------------------------------------------------
+# seeded configuration fuzz through main: a file set, one error line, or recorded failures
+# ---------------------------------------------------------------------------
+
+# each key draws from (valid, odd) pools: odd values are boundary, zero, negative, non-numeric,
+# empty, repeated, NaN, infinite or 1e+-160 values; every size drawn valid is small
+_NUMBERS = (["0.5", "1", "0.1", "2.5", "1e-3"],
+            ["0", "-1", "abc", "", "nan", "inf", "-inf", "1e160", "-1e160", "1e-160", "1e308",
+             "-1e308", "1e-170"])
+_SIZES = (["1", "2", "3", "5"], ["0", "-1", "2.5", "abc", "", "nan", "inf", "1e160"])
+_SEEDS = (["0", "0, 1", "3"], ["1, 1", "-1", "", "abc", "1e160", "0, 1e-160"])
+_KEYS = {
+    "oco-bench": {
+        "T": (["3", "12", "40"], _SIZES[1]), "d": _SIZES, "segment_length": _SIZES,
+        "feature_radius": _NUMBERS, "diameter": _NUMBERS, "noise_low": _NUMBERS,
+        "noise_high": _NUMBERS, "seeds": _SEEDS, "per_round": (["true", "0"], ["ture", ""]),
+        "alphas": (["0.5", "0.1, 1.0", "0"], _NUMBERS[1] + ["0.5, 0.5", "0.5, nan", "1e160, 1e-160"]),
+        "algorithms": (["ogd", "ader, scream", "scream"], ["sgd", "", "scream, scream"]),
+    },
+    "control-bench": {
+        "T": (["3", "12", "30"], _SIZES[1]), "H": (["1", "2", "3"], _SIZES[1]),
+        "segment_length": _SIZES, "target_radius": _NUMBERS, "control_weight": _NUMBERS,
+        "disturbance_amplitude": _NUMBERS, "lam_multiplier": _NUMBERS, "seeds": _SEEDS,
+        "preset": (["mild-3x2", "spin-3x2", "scaling-3x1", "sysid-3x2"], ["nope", ""]),
+        "disturbance_kind": (["constant", "sinusoidal", "adversarial-sign"], ["nope", ""]),
+        "per_round": (["yes", "off"], ["2"]),
+    },
+    "sysid-bench": {
+        "budgets": (["20", "30, 60", "8"], ["40, 40", "2", "3", "abc", "", "1e160", "-5"]),
+        "k": (["1", "2", "3"], _SIZES[1]), "seeds": _SEEDS,
+        "preset": (["sysid-3x2", "mild-3x2", "scaling-3x1"], ["nope"]),
+    },
+}
+_REQUIRED = {"oco-bench": ("T", "seeds"), "control-bench": ("T", "H", "seeds"),
+             "sysid-bench": ("budgets", "seeds")}  # keys whose defaults are large: always drawn
+_MISSPELLED = ["horizon", "alpha", "seed", "Tt", "feature radius"]
+_WRITES = {"oco-bench": ("results.csv", "summary.csv"),
+           "control-bench": ("control_results.csv", "control_summary.csv"),
+           "sysid-bench": ("sysid_report.json",)}
+_PINNED = [  # config values whose derived constants overflow, pinned ahead of the draws
+    ("oco-bench", {"T": "5", "seeds": "0", "feature_radius": "1e160"}),
+    ("oco-bench", {"T": "5", "seeds": "0", "feature_radius": "1e-170"}),
+    ("oco-bench", {"T": "5", "seeds": "0, 1", "alphas": "1e308"}),
+    ("oco-bench", {"T": "5", "seeds": "0, 1", "alphas": "1e160"}),  # the summary's squares overflow
+]
+
+
+def _pick(rng, pools):
+    pool = pools[1] if rng.random() < 0.25 else pools[0]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _draw_config(rng, command):
+    keys = _KEYS[command]
+    drawn = rng.choice(sorted(keys), size=int(rng.integers(0, 4)))
+    chosen = set(_REQUIRED[command]) | {str(key) for key in drawn}
+    lines = {key: _pick(rng, keys[key]) for key in sorted(chosen)}
+    if rng.random() < 0.1:  # a key given twice: the file's last line holds
+        key = sorted(lines)[0]
+        lines[key + " "] = _pick(rng, keys[key])
+    if rng.random() < 0.1:
+        lines[_MISSPELLED[int(rng.integers(len(_MISSPELLED)))]] = "1"
+    return lines
+
+
+def test_config_fuzz_ends_in_files_one_error_line_or_recorded_failures(tmp_path, capsys):
+    rng = np.random.default_rng(30)
+    cases = _PINNED + [(command, _draw_config(rng, command))
+                       for command in ("oco-bench", "control-bench", "sysid-bench")
+                       for _ in range(100)]
+    outcomes = set()
+    for i, (command, lines) in enumerate(cases):
+        cfg, out = tmp_path / f"c{i}.cfg", tmp_path / f"out{i}"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()),
+                       encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        code = main(argv + (["--serial"] if command == "oco-bench" else []))
+        captured = capsys.readouterr()
+        case = f"{command} {lines}: exit {code}, stderr {captured.err!r}"
+        err = captured.err.splitlines()
+        if code == 2 and not out.exists():
+            assert captured.out == "" and len(err) == 1 and err[0].startswith("scream: error: "), case
+            outcomes.add("error line")
+            continue
+        assert code in (0, 2), case
+        assert all((out / name).is_file() for name in _WRITES[command]), case
+        failures = (out / "failures.txt").read_text(encoding="utf-8").splitlines() \
+            if (out / "failures.txt").exists() else []
+        assert (code == 2) == bool(failures), case
+        outcomes.add("failures" if failures else "files")
+        if command == "sysid-bench":
+            assert err == ([f"{len(failures)} trials failed; see {out}/failures.txt"] if failures
+                           else []), case
+        else:
+            assert err == [f"cell failed {line}" for line in failures], case
+    assert outcomes == {"error line", "failures", "files"}  # the draws reach all three endings

@@ -387,7 +387,7 @@ class TestUnaryTruncatedMap:
             y0, L, D = unary_truncated_map(loop, lags, H)
             y = y0 + L @ M.ravel()
             v = D @ M.ravel() - K @ y
-            g_y, g_v = cost.grad_x(y, v), cost.grad_u(y, v)
+            g_y, g_v = cost.grad(y, v)
             want = (L.T @ (g_y - K.T @ g_v) + D.T @ g_v).reshape(M.shape)
             got = unary_truncated_gradient(cost, loop, M, lags)
             assert got.shape == M.shape
@@ -397,6 +397,11 @@ class TestUnaryTruncatedMap:
 
 
 class TestProjection:
+    @pytest.mark.parametrize("caps", [[], [[0.5]], [0.5, 0.0], [-1.0], [np.nan], [0.5, np.inf]])
+    def test_caps_must_be_finite_and_positive(self, caps):
+        with pytest.raises(ContractViolation, match="caps must be a vector of finite positive reals"):
+            DacFeasibleSet(np.array(caps, dtype=float), 2, 3)
+
     def test_feasible_input_unchanged(self, rng):
         loop = make_loop(seed=18)
         feasible = feasible_for(loop, 3)
@@ -559,6 +564,29 @@ class TestClosedFormProjection:
             feasible.project(M)
         with pytest.raises(ContractViolation):
             feasible.project(np.stack([feasible.zeros(), M]))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 3), (3, 2), (2, 2), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("value", [0.0, 1e-200, 1e154, 1e200, 1.7e308, np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_blocks(self, rng, shape, value):
+        # short sides 1, 2 and 3: a finite point that contains accepts, or ContractViolation
+        feasible = DacFeasibleSet(self.CAPS, *shape)
+        base = feasible.random_point(rng, scale=0.5)
+        every, filled, spread, one = np.full(base.shape, value), base.copy(), base.copy(), base.copy()
+        filled[1] = value
+        spread[1] = rng.uniform(-1, 1, shape) * value
+        one[1, 0, -1] = value  # a huge entry among small ones: s1 / cap past the closed form
+        for M in (every, filled, spread, one, np.stack([filled, spread, one])):
+            finite = bool(np.isfinite(M).all())
+            contained = feasible.contains(M)
+            assert isinstance(contained, bool) and (finite or not contained)
+            assert contained or not abs(value) <= 1e-200  # zero and tiny blocks are feasible
+            if not finite:
+                with pytest.raises(ContractViolation):
+                    feasible.project(M)
+                continue
+            out = feasible.project(M)
+            assert np.isfinite(out).all() and feasible.contains(out)
 
 
 def transposed_view_reference(M, caps, d_u, d_x):

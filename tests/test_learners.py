@@ -199,7 +199,7 @@ class TestScream:
         learner = Scream(config, domain)
         for t in range(T):
             learner.decide()
-            learner.observe(SquareLoss(rng.standard_normal(d), float(rng.standard_normal())))
+            learner.observe(SquareLossStream([rng.standard_normal(d)], [rng.standard_normal()])[0])
             assert check_simplex(learner.weights, tol=1e-12)
             assert all(domain.contains(w) for w in learner.flat)
 
@@ -209,7 +209,7 @@ class TestScream:
         for t in range(20):
             w = learner.decide()
             assert np.linalg.norm(w - learner.weights @ learner.flat) <= 1e-12
-            learner.observe(SquareLoss(rng.standard_normal(2), 0.0))
+            learner.observe(SquareLossStream([rng.standard_normal(2)], [0.0])[0])
 
 
 class TestMetaExpertEngine:
@@ -239,7 +239,7 @@ class TestMetaExpertEngine:
         by_loss = self.engine((3,), ball.project_rows)
         by_step = self.engine((3,), ball.project_rows)
         for _ in range(20):
-            loss = SquareLoss(rng.standard_normal(3), float(rng.standard_normal()))
+            loss = SquareLossStream([rng.standard_normal(3)], [rng.standard_normal()])[0]
             by_step.step(loss.grad(by_step.decide()))
             by_loss.observe(loss)
         assert np.array_equal(by_loss.flat, by_step.flat)
@@ -271,12 +271,12 @@ class TestMetaExpertEngine:
         learner = Scream(ScreamConfig(T=20, grad_bound=2.0, diameter=2.0, lam=0.7),
                          DomainBall(3, 2.0))
         for _ in range(3):
-            learner.observe(SquareLoss(rng.standard_normal(3), float(rng.standard_normal())))
+            learner.observe(SquareLossStream([rng.standard_normal(3)], [rng.standard_normal()])[0])
         stale = learner.decide()
         learner.step(rng.standard_normal(3))           # no decide() between this step and observe
         fresh = copy.deepcopy(learner).decide()
         assert not np.array_equal(stale, fresh)
-        loss = RecordingLoss(rng.standard_normal(3), float(rng.standard_normal()))
+        loss = RecordingLoss(SquareLossStream([rng.standard_normal(3)], [rng.standard_normal()]), 0)
         learner.observe(loss)
         assert np.array_equal(loss.at, fresh)
 

@@ -91,6 +91,39 @@ class TestHedgeStep:
         with pytest.raises(ContractViolation):
             hedge_step(np.full(3, 1.0 / 3), np.array([0.0, np.nan, 1.0]), 0.5)
 
+    # degenerate arrays: each call returns the listed weights, with no warning, or raises
+    @pytest.mark.parametrize("weights, losses, rate, want", [
+        ([0.5, 0.5], [1e308, -1e308], 1.0, [0.0, 1.0]),        # the spread overflows
+        ([0.5, 0.5], [1e300, 0.0], 1e10, [0.0, 1.0]),          # the exponent overflows
+        ([0.5, 0.5], [1.7e308, -1.7e308], 1.7e308, [0.0, 1.0]),
+        ([0.25, 0.25, 0.5], [1.7e308, -1.7e308, 0.0], 1e-300, [0.0, 1.0, 0.0]),
+        ([0.5, 0.5], [1e308, -1e308], 1e-320, [0.5, 0.5]),     # a tiny rate on an overflowing spread
+        ([0.5, 0.5], [0.0, 1.0], 1e-320, [0.5, 0.5]),
+        ([0.0, 0.0], [1.0, 1.0], 1.0, [0.0, 0.0]),             # equal losses leave any weights
+        ([0.0, 1.0], [1e308, -1e308], 1.0, [0.0, 1.0]),        # a zero weight stays zero
+        ([1e308, 1e308], [0.0, 1e-300], 1.0, [1e308, 1e308]),  # every factor rounds to one
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_arrays_return_finite_weights(self, weights, losses, rate, want):
+        out = hedge_step(weights, losses, rate)
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("weights, losses", [
+        ([0.0, 0.0], [0.0, 1.0]),                                # no weight left to normalize
+        ([np.nan, 1.0], [0.0, 0.0]),
+        ([np.inf, 1.0], [0.0, 1.0]),
+        ([1.5e308, 1.5e308], [0.0, 1e-3]),                       # the total overflows
+        ([0.0, 1.0], [-1e308, 1e308]),                           # the only weight's factor underflows
+        ([0.5, 0.5], [np.nan, 0.0]),
+        ([0.5, 0.5], [np.inf, 0.0]),
+        ([0.5, 0.5], [-np.inf, 0.0]),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_arrays_raise(self, weights, losses):
+        with pytest.raises(ContractViolation):
+            hedge_step(weights, losses, 1.0)
+
 
 def test_ogd_cumulative_switching_under_eta_g_t(rng):
     # over a whole trajectory the movement is at most eta * G * T
