@@ -25,7 +25,7 @@ from .dac import (ClosedLoop, DacFeasibleSet, QuadraticTrackingCost, lipschitz_c
                   state_action_bound, tracking_grad_coeff)
 from .lds import DisturbanceGenerator, check_preset, preset
 from .learners import (Ader, OgdMemory, Scream, ScreamConfig, ogd_default_step_size,
-                       trajectory_rows)
+                       scream_meta_rate, trajectory_rows)
 from .oco import ContractViolation, DomainBall, RegretReport, SquareLossStream
 from .sysid import IdentificationConfig, identify_system
 
@@ -116,6 +116,15 @@ class ExperimentConfig:
             raise ContractViolation(f"alphas must be finite and non-negative, got {self.alphas}")
         if not all(math.isfinite(alpha * G) for alpha in self.alphas):
             raise ContractViolation(f"lam = alpha * G must be finite, got alphas {self.alphas}, G = {G}")
+        if "scream" in self.algorithms:
+            for alpha in self.alphas:
+                try:
+                    rate = scream_meta_rate(self.T, self.diameter, G, alpha * G)
+                except OverflowError:  # D^2 past the float range: no rate
+                    rate = 0.0
+                if not (math.isfinite(rate) and rate > 0):  # a huge lam underflows the rate to 0
+                    raise ContractViolation(f"scream's meta rate must be finite and positive, got "
+                                            f"{rate} at alpha {alpha} (lam = {alpha * G})")
         if not (math.isfinite(self.noise_low) and math.isfinite(self.noise_high)
                 and self.noise_low <= self.noise_high):
             raise ContractViolation("noise bounds must be finite with noise_low <= noise_high, "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .csvio import column_rows
 from .oco import (ContractViolation, DomainBall, RegretReport, SquareLoss, SquareLossStream,
-                  as_vector, regret_metrics)
+                  _movements, as_vector, regret_metrics)
 
 
 def pool_size(T: int) -> int:
@@ -348,6 +348,7 @@ def run_online(learner, losses: SquareLossStream) -> OcoRun:
 def trajectory_rows(run: OcoRun):
     """Per-round rows (t, decision norm, loss, instantaneous movement)."""
     w = run.decisions
+    movement = np.zeros(run.T)  # no move into the first round
+    _movements(w, movement[1:])
     return column_rows(t=range(1, run.T + 1), decision_norm=np.linalg.norm(w, axis=1),
-                       loss=run.losses.window_losses(w),
-                       movement=np.linalg.norm(np.diff(w, axis=0, prepend=w[:1]), axis=1))
+                       loss=run.losses.window_losses(w), movement=movement)

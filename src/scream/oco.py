@@ -143,17 +143,36 @@ class SquareLossStream(Sequence):
         w = np.asarray(decisions, dtype=float)
         if w.shape != self.X.shape:
             raise ContractViolation(f"expected an array of shape {self.X.shape}, got {w.shape}")
-        return 0.5 * (np.einsum("td,td->t", w, self.X) - self.y) ** 2
+        losses = np.einsum("td,td->t", w, self.X)
+        losses -= self.y  # 0.5 * (losses - y) ** 2's arithmetic, in place on the one (T,) array
+        losses *= losses
+        losses *= 0.5
+        return losses
+
+
+_BLOCK_ROWS = 1024  # rows of one movement block: its temporary is (1024, d), whatever T
+
+
+def _movements(seq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ||v_t - v_{t-1}||_2, t = 1..T-1, of a (T, d) float array into the (T - 1,) ``out``.
+
+    Block by block with np.linalg.norm(np.diff(seq, axis=0), axis=1)'s own
+    arithmetic, so no temporary grows with T * d.
+    """
+    for start in range(0, out.shape[0], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, out.shape[0])
+        moves = seq[start + 1:stop + 1] - seq[start:stop]
+        moves *= moves
+        np.sqrt(np.add.reduce(moves, axis=1), out=out[start:stop])
+    return out
 
 
 def path_length(sequence) -> float:
     """Cumulative movement sum_{t>=2} ||v_t - v_{t-1}||_2 of a (T, d) sequence."""
     seq = np.asarray(sequence, dtype=float)
-    if seq.shape[0] < 2:
-        return 0.0
-    moves = np.diff(seq, axis=0)
-    moves *= moves  # np.linalg.norm(moves, axis=1)'s own arithmetic, without its two copies
-    return float(np.sum(np.sqrt(np.add.reduce(moves, axis=1))))
+    if seq.ndim != 2:
+        raise ContractViolation(f"expected a (T, d) sequence, got shape {seq.shape}")
+    return float(np.sum(_movements(seq, np.empty(max(seq.shape[0] - 1, 0)))))
 
 
 @dataclass

@@ -180,6 +180,11 @@ def test_sysid_bench_subcommand(tmp_path, capsys):
     (["oco-bench"], "feature_radius = 1e160\n", "G = D * Gamma^2 must be finite and positive"),
     (["oco-bench"], "feature_radius = 1e-170\n", "G = D * Gamma^2 must be finite and positive"),
     (["oco-bench"], "alphas = 1e308\n", "lam = alpha * G must be finite"),
+    # a lam so large that scream's meta rate underflows to 0 would fail every scream cell
+    (["oco-bench"], "alphas = 1e160\n", "scream's meta rate must be finite and positive"),
+    # G = 1 is fine, but the tuning's D^2 overflows
+    (["oco-bench"], "diameter = 1e160\nfeature_radius = 1e-80\n",
+     "scream's meta rate must be finite and positive"),
 ])
 def test_bad_configuration_is_one_error_line_with_exit_two(tmp_path, capsys, argv, config,
                                                            message):
@@ -419,7 +424,8 @@ _PINNED = [  # config values whose derived constants overflow, pinned ahead of t
     ("oco-bench", {"T": "5", "seeds": "0", "feature_radius": "1e160"}),
     ("oco-bench", {"T": "5", "seeds": "0", "feature_radius": "1e-170"}),
     ("oco-bench", {"T": "5", "seeds": "0, 1", "alphas": "1e308"}),
-    ("oco-bench", {"T": "5", "seeds": "0, 1", "alphas": "1e160"}),  # the summary's squares overflow
+    # the summary's squares overflow; without scream, whose meta rate would underflow
+    ("oco-bench", {"T": "5", "seeds": "0, 1", "alphas": "1e160", "algorithms": "ogd, ader"}),
 ]
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scream.oco import (ContractViolation, DomainBall, SquareLossStream, clip_to_ball, path_length,
-                        regret_metrics)
+from scream.learners import OcoRun, trajectory_rows
+from scream.oco import (_BLOCK_ROWS, ContractViolation, DomainBall, SquareLossStream, clip_to_ball,
+                        path_length, regret_metrics)
 
 from conftest import finite_diff
 
@@ -242,6 +245,47 @@ class TestRegretMetrics:
         seq = rng.standard_normal((30, 4))
         assert path_length(seq) >= 0
         assert path_length(seq[:1]) == 0.0
+
+    @pytest.mark.parametrize("shape", [(30,), (30, 2, 3), ()])
+    def test_path_length_takes_only_a_2d_sequence(self, rng, shape):
+        # a (T, a, b) sequence would sum norms over axis 1, not each step's Frobenius norm
+        with pytest.raises(ContractViolation, match=r"expected a \(T, d\) sequence"):
+            path_length(rng.standard_normal(shape))
+
+    def test_report_keeps_no_temporary_that_grows_with_T_times_d(self, rng):
+        # The report holds at most three (T,) float arrays at once (a window's losses and its
+        # subtrahends) plus one (block, d) movement block; the (T - 1, d) copy of a whole
+        # sequence, 1.6 MB here, would break the bound.
+        T, d = 20000, 10
+        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
+        w, v = rng.standard_normal((T, d)), rng.standard_normal((T, d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            regret_metrics(w, v, stream, lam=0.5)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 3 * 8 * T + 8 * _BLOCK_ROWS * d
+
+
+class TestMovementBlocks:
+    """The blocked movement kernel gives the one-shot formulas' bits, compared by ==."""
+
+    @pytest.mark.parametrize("T", [0, 1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2,
+                                   2 * _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("d", [1, 10, 30])
+    def test_movements_match_the_one_shot_formulas(self, rng, T, d):
+        seq = rng.standard_normal((T, d)) * rng.uniform(0.1, 3.0, (T, 1))
+        one_shot = float(np.sum(np.linalg.norm(np.diff(seq, axis=0), axis=1)))
+        assert path_length(seq) == one_shot
+        stream = SquareLossStream(rng.standard_normal((T, d)), rng.standard_normal(T))
+        column = [row["movement"] for row in trajectory_rows(OcoRun(seq, stream, None))]
+        assert np.array_equal(column,
+                              np.linalg.norm(np.diff(seq, axis=0, prepend=seq[:1]), axis=1))
+        assert np.array_equal(stream.window_losses(seq),
+                              0.5 * (np.einsum("td,td->t", seq, stream.X) - stream.y) ** 2)
 
 
 def test_memory_upper_bound_decomposition(rng):
